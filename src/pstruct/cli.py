@@ -16,6 +16,7 @@ import concurrent.futures
 import configparser
 import csv
 import json
+import math
 import platform
 import sys
 import time
@@ -49,6 +50,20 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("expected an integer >= 0")
+    return value
+
+
 # section -> key -> (parser, default); this is the complete documented key set
 SCHEMA = {
     "domain": {
@@ -56,28 +71,28 @@ SCHEMA = {
         "n": (int, 16),
     },
     "params": {
-        "p": (float, 2.0),
-        "mu": (float, 0.1),
+        "p": (_finite_float, 2.0),
+        "mu": (_finite_float, 0.1),
         "structure": (str, "full"),
     },
     "solver": {
-        "eta": (float, 0.0),
-        "outer_tol": (float, 1e-9),
-        "max_outer": (int, 200),
-        "inner_tol": (float, 0.0),
+        "eta": (_finite_float, 0.0),
+        "outer_tol": (_finite_float, 1e-9),
+        "max_outer": (_nonnegative_int, 200),
+        "inner_tol": (_finite_float, 0.0),
         "inner_maxiter": (int, 20000),
         "line_search": (_parse_bool, True),
         "continuation": (_parse_bool, False),
-        "cont_eta0": (float, 1e-1),
-        "cont_mu0": (float, 1e-1),
-        "cont_ratio": (float, 0.5),
-        "cont_eta_floor": (float, 1e-8),
-        "cont_mu_floor": (float, 1e-8),
+        "cont_eta0": (_finite_float, 1e-1),
+        "cont_mu0": (_finite_float, 1e-1),
+        "cont_ratio": (_finite_float, 0.5),
+        "cont_eta_floor": (_finite_float, 1e-8),
+        "cont_mu_floor": (_finite_float, 1e-8),
         "cont_max_steps": (int, 60),
     },
     "rhs": {
         "id": (str, "smooth-trig"),
-        "amplitude": (float, 1.0),
+        "amplitude": (_finite_float, 1.0),
         "seed": (int, 0),
     },
     "output": {
@@ -93,8 +108,8 @@ SCHEMA = {
         "q_list": (str, "2,4,6,8,10,12,16"),
     },
     "reconstruct": {
-        "residual_tol": (float, 1e-6),
-        "delta": (float, 1e-14),
+        "residual_tol": (_finite_float, 1e-6),
+        "delta": (_finite_float, 1e-14),
     },
     "sweep": {
         "p_values": (str, "1.2,1.5,1.8"),
@@ -144,7 +159,7 @@ def load_config(path=None, overrides=()) -> dict:
 
 def _float_list(raw: str, where: str) -> list:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        return [_finite_float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"invalid value for {where}: {raw!r}") from exc
 
@@ -215,24 +230,27 @@ def _build_problem(config: dict):
 def _build_solve_config(config: dict) -> solver.SolveConfig:
     sc = config["solver"]
     cont = None
-    if sc["continuation"]:
-        cont = solver.ContinuationPath.geometric(
-            eta0=sc["cont_eta0"],
-            mu0=sc["cont_mu0"],
-            ratio=sc["cont_ratio"],
-            eta_floor=sc["cont_eta_floor"],
-            mu_floor=sc["cont_mu_floor"],
-            max_steps=sc["cont_max_steps"],
+    try:
+        if sc["continuation"]:
+            cont = solver.ContinuationPath.geometric(
+                eta0=sc["cont_eta0"],
+                mu0=sc["cont_mu0"],
+                ratio=sc["cont_ratio"],
+                eta_floor=sc["cont_eta_floor"],
+                mu_floor=sc["cont_mu_floor"],
+                max_steps=sc["cont_max_steps"],
+            )
+        return solver.SolveConfig(
+            eta=sc["eta"],
+            outer_tol=sc["outer_tol"],
+            max_outer=sc["max_outer"],
+            inner_tol=sc["inner_tol"],
+            inner_maxiter=sc["inner_maxiter"],
+            line_search=sc["line_search"],
+            continuation=cont,
         )
-    return solver.SolveConfig(
-        eta=sc["eta"],
-        outer_tol=sc["outer_tol"],
-        max_outer=sc["max_outer"],
-        inner_tol=sc["inner_tol"],
-        inner_maxiter=sc["inner_maxiter"],
-        line_search=sc["line_search"],
-        continuation=cont,
-    )
+    except ValueError as exc:
+        raise ConfigError(f"invalid value in [solver]: {exc}") from exc
 
 
 def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:

@@ -50,6 +50,10 @@ class IllConditioned(PStructError):
         self.field = field
 
 
+class NonFinite(PStructError):
+    """A residual, energy or Krylov inner product became NaN or infinite."""
+
+
 class PathStalled(PStructError):
     """Continuation updates grew for several consecutive steps."""
 

@@ -111,7 +111,9 @@ def rhs_sample(domain: DomainSpec, id: str, amplitude: float = 1.0, seed: int = 
                 _axis_basis_periodic(t) if domain.is_periodic(ax) else _axis_basis_wall(t)
             )
         coeffs = rng.standard_normal((3, bases[0].shape[1], bases[1].shape[1], bases[2].shape[1]))
-        f = np.einsum("cabm,xa,yb,zm->cxyz", coeffs, bases[0], bases[1], bases[2])
+        f = np.einsum(
+            "cabm,xa,yb,zm->cxyz", coeffs, bases[0], bases[1], bases[2], optimize=True
+        )
     return f * (amplitude / grid_norm(domain, f, q=2.0))
 
 

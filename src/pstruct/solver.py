@@ -4,6 +4,11 @@ Outer loop: Kacanov (frozen secant coefficient) iteration, guarded by a
 backtracking line search on the discrete energy.  Inner loop: matrix-free
 preconditioned conjugate gradients; the preconditioner is one exact inversion
 of the constant-coefficient 7-point Laplacian per iteration (poisson module).
+For p < 2 the secant coefficient is unbounded as |Gv| -> 0, and that inversion
+is scaled symmetrically by it, s P^{-1}(s r) with s = c^{-1/2} and
+c = eta + (a+ + a-)/2 on interior nodes (s = 1 on constrained ones).  For
+p >= 2 the plain inversion is used: it is exact at p = 2, and at p > 2 the
+scaled one cost more outer iterations than it saved inner ones.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -33,6 +38,7 @@ from .errors import (
     DegenerateConfig,
     IllConditioned,
     NoConvergence,
+    NonFinite,
     PathStalled,
 )
 from .grid import DomainSpec, apply_constraints
@@ -316,39 +322,92 @@ def residual(
     return _zero_walls(domain, r)
 
 
-def _pcg(domain, apply_a, b, x0, rtol, maxiter):
-    """Preconditioned CG; returns (x, iterations, relative_residual)."""
+def _fold_eta(domain: DomainSpec, a_plus, a_minus, eta: float, mode: str):
+    """Move -eta*Lap into the face coefficients where the form allows it.
+
+    In full-gradient mode -eta*Lap(w) is _apply_pm with coefficients eta on
+    every face, so (a+ + eta m+, a- + eta m-) at eta 0 is the same operator
+    without the separate Laplacian.  The symmetric-gradient form has no such
+    identity and keeps its eta.  Returns (a_plus, a_minus, remaining eta).
+    """
+    if mode != "full" or eta == 0.0:
+        return a_plus, a_minus, eta
+    mp, mm = _pm_masks(domain)
+    return a_plus + eta * mp, a_minus + eta * mm, 0.0
+
+
+def _coefficient_scale(domain: DomainSpec, a_plus, a_minus, eta: float) -> np.ndarray:
+    """Nodal c^(-1/2), c = eta + (a+ + a-)/2, on interior nodes; 1 elsewhere."""
+    s = np.ones(domain.shape)
+    c = eta + 0.5 * (a_plus[domain.interior] + a_minus[domain.interior])
+    s[domain.interior] = c**-0.5
+    return s
+
+
+def _require_finite(value: float, what: str) -> float:
+    if not np.isfinite(value):
+        raise NonFinite(f"{what} is {value}")
+    return value
+
+
+def _pcg(domain, apply_a, b, x0, rtol, maxiter, scale=None):
+    """Preconditioned CG; returns (x, iterations, relative_residual).
+
+    The preconditioner is poisson_solve, or s * poisson_solve(s * r) for a
+    nodal scale vector s, which keeps it symmetric positive definite.  A
+    non-finite residual norm or p.Ap raises NonFinite at once.
+    """
+
+    def precondition(r):
+        if scale is None:
+            return poisson_solve(domain, r)
+        return scale * poisson_solve(domain, scale * r)
+
     bnorm = _l2(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = x0.copy()
     r = b - apply_a(x)
-    rn = _l2(r)
+    rn = _require_finite(_l2(r), "PCG residual norm")
     if rn <= rtol * bnorm:
         return x, 0, rn / bnorm
-    z = poisson_solve(domain, r)
+    z = precondition(r)
     p = z.copy()
     rz = float(np.sum(r * z))
     best = (rn, x.copy())
     for k in range(1, maxiter + 1):
         ap = apply_a(p)
-        denom = float(np.sum(p * ap))
+        denom = _require_finite(float(np.sum(p * ap)), "PCG p.Ap")
         if denom <= 0.0:
             break  # loss of definiteness: report best iterate via cap path
         alpha = rz / denom
         x += alpha * p
         r -= alpha * ap
-        rn = _l2(r)
+        rn = _require_finite(_l2(r), "PCG residual norm")
         if rn < best[0]:
             best = (rn, x.copy())
         if rn <= rtol * bnorm:
             return x, k, rn / bnorm
-        z = poisson_solve(domain, r)
+        z = precondition(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     rn, x = best
     return x, maxiter, rn / bnorm
+
+
+def _inner_solve(domain, apply_a, b, x0, rtol, maxiter, scale=None):
+    """_pcg to rtol; raises IllConditioned with the best iterate if the cap
+    is reached first.  Returns (x, iterations)."""
+    x, iters, rel = _pcg(domain, apply_a, b, x0, rtol, maxiter, scale)
+    if rel > rtol:
+        raise IllConditioned(
+            f"inner solve cap {maxiter} reached at relative residual {rel:.3e} "
+            f"(target {rtol:.3e})",
+            achieved=rel,
+            field=x,
+        )
+    return x, iters
 
 
 def linear_subsolve(
@@ -364,20 +423,14 @@ def linear_subsolve(
     """Solve the SPD system -eta*Lap(w) - div(a G w) = f to a relative l2 tol.
 
     Raises IllConditioned (carrying the achieved residual and iterate) when
-    the iteration cap is hit first.
+    the iteration cap is hit first, NonFinite on a NaN or infinite residual.
     """
     if x0 is None:
         x0 = np.zeros_like(f)
     a = coefficient_field
-    x, iters, rel = _pcg(
+    x, _ = _inner_solve(
         domain, lambda w: apply_linear(domain, a, eta, mode, w), f, x0, rtol, maxiter
     )
-    if rel > rtol:
-        raise IllConditioned(
-            f"inner solve cap {maxiter} reached at relative residual {rel:.3e}",
-            achieved=rel,
-            field=x,
-        )
     return x
 
 
@@ -423,8 +476,9 @@ def solve(
 
     Stops when the relative l2 residual of the discrete strong form drops
     below config.outer_tol.  Returns (field, SolveReport); raises
-    NoConvergence with the best iterate attached if the budget runs out and
-    DegenerateConfig for eta = mu = 0 at p != 2 (go through continuation).
+    NoConvergence with the best iterate attached if the budget runs out,
+    NonFinite on a NaN or infinite residual or energy, and DegenerateConfig
+    for eta = mu = 0 at p != 2 (go through continuation).
     """
     domain, params = problem.domain, problem.params
     if config.eta == 0.0 and params.mu == 0.0 and params.p != 2.0:
@@ -446,11 +500,15 @@ def solve(
         v = _zero_walls(domain, initial.copy())
 
     mode = params.structure
+    e_next = None  # energy of the accepted line-search trial, if evaluated
     for it in range(config.max_outer + 1):
         a_plus, a_minus, hit = coefficient_field(domain, params, v, config.coefficient_floor)
         report.floor_active |= hit
-        res = _l2(f - _apply_pm(domain, a_plus, a_minus, config.eta, mode, v)) / fnorm
-        e_cur = energy(v, problem, config.eta)
+        a_plus, a_minus, eta = _fold_eta(domain, a_plus, a_minus, config.eta, mode)
+        res = _l2(f - _apply_pm(domain, a_plus, a_minus, eta, mode, v)) / fnorm
+        _require_finite(res, "relative residual")
+        e_cur = energy(v, problem, config.eta) if e_next is None else e_next
+        _require_finite(e_cur, "energy")
         report.residual_history.append(res)
         report.energy_history.append(e_cur)
         if config.record_norms:
@@ -466,30 +524,29 @@ def solve(
         if it == config.max_outer:
             break
         inner_rtol = config.inner_tol or max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
-        w, inner_it, inner_rel = _pcg(
+        # the unbounded p < 2 coefficient is what the plain Poisson inverse misses
+        scale = _coefficient_scale(domain, a_plus, a_minus, eta) if params.p < 2.0 else None
+        w, inner_it = _inner_solve(
             domain,
-            lambda u: _apply_pm(domain, a_plus, a_minus, config.eta, mode, u),
+            lambda u: _apply_pm(domain, a_plus, a_minus, eta, mode, u),
             f,
             v,
             inner_rtol,
             config.inner_maxiter,
+            scale,
         )
         report.inner_iterations += inner_it
-        if inner_rel > inner_rtol:
-            raise IllConditioned(
-                f"inner solve cap {config.inner_maxiter} reached at relative "
-                f"residual {inner_rel:.3e} (target {inner_rtol:.3e})",
-                achieved=inner_rel,
-                field=w,
-            )
         delta = w - v
         theta = 1.0
+        e_next = None
         if config.line_search:
             # the Kacanov step is a strict descent direction of the (exactly
             # consistent) energy; the slack only absorbs float cancellation
             slack = 1e-12 * (1.0 + abs(e_cur))
             for _ in range(40):
-                if energy(v + theta * delta, problem, config.eta) <= e_cur + slack:
+                e_try = energy(v + theta * delta, problem, config.eta)
+                if e_try <= e_cur + slack:
+                    e_next = e_try
                     break
                 theta *= 0.5
                 report.backtracks += 1

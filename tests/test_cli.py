@@ -9,6 +9,7 @@ runs ``python -m pstruct``.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,38 @@ def test_section_is_named_in_value_errors(tmp_path, capsys):
     assert "[params]" in capsys.readouterr().err
     run_cli("sweep", *base_args(tmp_path, "--set", "sweep.p_values=0.5"))
     assert "[sweep]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, key", [
+    ("params.mu=nan", r"\[params\] mu"),
+    ("solver.eta=nan", r"\[solver\] eta"),
+    ("rhs.amplitude=inf", r"\[rhs\] amplitude"),
+    ("solver.max_outer=-1", r"\[solver\] max_outer"),
+])
+def test_non_finite_and_negative_values_rejected_at_parse(tmp_path, capsys, override, key):
+    # mu = nan used to run at the default p = 2 (nan**0 == 1) and report a
+    # converged solve; eta = nan and amplitude = inf spun in the inner solve
+    with pytest.raises(ConfigError, match=key):
+        cli.load_config(None, [override])
+    assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
+    assert re.search(key, capsys.readouterr().err)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["solver.eta=-1"],
+    ["solver.outer_tol=0"],
+    ["solver.continuation=true", "solver.cont_ratio=1.5"],
+    ["solver.continuation=true", "solver.cont_max_steps=0"],
+])
+def test_solver_value_errors_exit_2(tmp_path, capsys, overrides):
+    # SolveConfig and ContinuationPath reject these with ValueError, which
+    # used to escape main() as a traceback
+    args = base_args(tmp_path)
+    for item in overrides:
+        args += ["--set", item]
+    assert run_cli("solve", *args) == 2
+    assert "[solver]" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

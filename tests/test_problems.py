@@ -58,6 +58,34 @@ def test_rhs_random_reproducible():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("kind", [g.CUBIC_PERIODIC, g.DIRICHLET_BOX])
+def test_rhs_band_limited_matches_loop_sum(kind):
+    # the contraction is evaluated by an optimised einsum; this is the plain
+    # sum over modes it must reproduce, drawn from the same generator
+    dom = g.build_domain(kind, 12)
+    f = rhs_sample(dom, "band-limited-random", amplitude=2.0, seed=5)
+    bases = []
+    for ax in range(3):
+        t = dom.coords(ax)
+        if dom.is_periodic(ax):
+            cols = [np.ones_like(t)]
+            for k in (1, 2, 3):
+                cols += [np.cos(2 * np.pi * k * t), np.sin(2 * np.pi * k * t)]
+        else:
+            cols = [np.sin(np.pi * m * t) for m in (1, 2, 3, 4)]
+        bases.append(cols)
+    shape = (3,) + tuple(len(b) for b in bases)
+    coeffs = np.random.default_rng(5).standard_normal(shape)
+    ref = np.zeros((3,) + dom.shape)
+    for c in range(3):
+        for a, bx in enumerate(bases[0]):
+            for b, by in enumerate(bases[1]):
+                for m, bz in enumerate(bases[2]):
+                    ref[c] += coeffs[c, a, b, m] * np.multiply.outer(np.multiply.outer(bx, by), bz)
+    ref *= 2.0 / g.norm(dom, ref, q=2.0)
+    assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_rhs_validation():
     dom = g.build_domain(g.CUBIC_PERIODIC, 8)
     with pytest.raises(UnknownId):

@@ -19,6 +19,7 @@ from pstruct.errors import (
     DegenerateConfig,
     IllConditioned,
     NoConvergence,
+    NonFinite,
     PathStalled,
 )
 from pstruct.poisson import poisson_solve
@@ -195,6 +196,47 @@ def test_coefficient_floor_activation():
     assert not active
 
 
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+def test_eta_folds_into_full_mode_coefficients(kind):
+    dom = grid.build_domain(kind, 10)
+    rng = np.random.default_rng(4)
+    v = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
+    w = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
+    a_plus, a_minus, _ = solver.coefficient_field(dom, ConstitutiveParams(p=1.4, mu=0.0), v)
+    eta = 0.37
+    ap, am, rest = solver._fold_eta(dom, a_plus, a_minus, eta, "full")
+    assert rest == 0.0
+    ref = solver._apply_pm(dom, a_plus, a_minus, eta, "full", w)
+    folded = solver._apply_pm(dom, ap, am, 0.0, "full", w)
+    assert np.linalg.norm(folded - ref) <= 1e-14 * np.linalg.norm(ref)
+    # the symmetric-gradient form keeps its separate eta Laplacian
+    sym = solver._fold_eta(dom, a_plus, a_minus, eta, "symmetric")
+    assert sym[0] is a_plus and sym[1] is a_minus and sym[2] == eta
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pcg_stops_at_once_on_non_finite():
+    dom = grid.build_domain("dirichlet_box", 8)
+    b = grid.apply_constraints(dom, problems.rhs_sample(dom, "smooth-trig", 1.0))
+    calls = []
+
+    def nan_apply(w):
+        calls.append(1)
+        return np.where(w == 0.0, 0.0, np.nan)
+
+    with pytest.raises(NonFinite, match="p.Ap"):
+        solver._pcg(dom, nan_apply, b, np.zeros_like(b), 1e-10, 50)
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(NonFinite, match="residual"):
+        solver._pcg(dom, nan_apply, b, np.ones_like(b), 1e-10, 50)
+    assert len(calls) == 1
+    a = np.ones(dom.shape)
+    a[3, 3, 3] = np.inf
+    with pytest.raises(NonFinite):
+        solver.linear_subsolve(a, 0.0, b, dom, maxiter=50)
+
+
 # ---------------------------------------------------------------- nonlinear solve
 
 
@@ -257,6 +299,35 @@ def test_budget_exhaustion_raises_no_convergence():
         solver.solve(prob, solver.SolveConfig(eta=0.0, outer_tol=1e-13, max_outer=2))
     assert exc.value.report.iterations == 2
     assert exc.value.field.shape == (3,) + dom.shape
+
+
+@pytest.mark.parametrize("mu, eta", [(float("nan"), 0.0), (0.1, float("nan"))])
+def test_solve_raises_on_non_finite_residual_or_energy(mu, eta):
+    # at p = 2 a nan mu leaves the coefficient nan**0 == 1, so only the
+    # energy shows it; a nan eta poisons the residual
+    dom = grid.build_domain("dirichlet_box", 8)
+    with pytest.raises(NonFinite):
+        solver.solve(make_problem(dom, 2.0, mu), solver.SolveConfig(eta=eta))
+
+
+@pytest.mark.parametrize("line_search", [True, False])
+def test_accepted_trial_energy_is_carried_forward(monkeypatch, line_search):
+    dom = grid.build_domain("dirichlet_box", 12)
+    prob = make_problem(dom, 1.5, 0.1)
+    calls = []
+    energy = solver.energy
+
+    def counting_energy(*args):
+        calls.append(1)
+        return energy(*args)
+
+    monkeypatch.setattr(solver, "energy", counting_energy)
+    cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10, line_search=line_search)
+    v, report = solver.solve(prob, cfg)
+    assert report.iterations > 3
+    # one evaluation per accepted trial or rejected backtrack, plus the start
+    assert len(calls) == 1 + report.iterations + report.backtracks
+    assert report.energy_history[-1] == energy(v, prob, cfg.eta)
 
 
 # ---------------------------------------------------------------- energy
@@ -405,3 +476,59 @@ def test_frozen_updates_approach_base_as_eps_shrinks():
         gaps.append(grid.norm(dom, w - u, 2, sobolev_level=1))
     assert gaps[1] < gaps[0]
     assert gaps[2] < gaps[1]
+
+
+# ---------------------------------------------------------------- preconditioner
+
+
+def test_coefficient_scaling_cuts_pcg_iterations(monkeypatch):
+    """Short p = 1.4, mu = 0 continuation: the coefficient-scaled
+    preconditioner needs fewer PCG iterations than the plain Poisson inverse,
+    and every step still meets the outer tolerance."""
+    dom = grid.build_domain("dirichlet_box", 8)
+    prob = make_problem(dom, 1.4, 0.0)
+    path = solver.ContinuationPath.geometric(
+        eta0=1e-2, mu0=0.0, ratio=0.5, eta_floor=1e-4, mu_floor=0.0
+    )
+    cfg = solver.SolveConfig(outer_tol=1e-10, max_outer=300, continuation=path)
+    pcg, solve = solver._pcg, solver.solve
+
+    def run(scaled):
+        steps = []
+
+        def maybe_unscaled_pcg(domain, apply_a, b, x0, rtol, maxiter, scale=None):
+            return pcg(domain, apply_a, b, x0, rtol, maxiter, scale if scaled else None)
+
+        def recording_solve(problem, config, initial=None):
+            v, report = solve(problem, config, initial)
+            steps.append((problem, config.eta, v, report))
+            return v, report
+
+        monkeypatch.setattr(solver, "_pcg", maybe_unscaled_pcg)
+        monkeypatch.setattr(solver, "solve", recording_solve)
+        solver.continuation_solve(prob, cfg)
+        return steps
+
+    scaled, plain = run(True), run(False)
+    assert len(scaled) == len(plain) == len(path.eta_path)
+    total = sum(rep.inner_iterations for *_, rep in scaled)
+    assert total < sum(rep.inner_iterations for *_, rep in plain)
+    f = prob.forcing()
+    for problem, eta, v, _ in scaled:
+        r = solver.residual(dom, problem.params, eta, v, f)
+        assert np.linalg.norm(r) <= cfg.outer_tol * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_p3_manufactured_counts_unchanged(eta):
+    """p >= 2 keeps the plain Poisson preconditioner: the acceptance
+    criterion-5 solve at p = 3, mu = 0.1 on the 24^3 box keeps its counts."""
+    dom = grid.build_domain("dirichlet_box", 24)
+    target = problems.smooth_test_field(dom, seed=11).values()
+    params = ConstitutiveParams(p=3.0, mu=0.1)
+    f = problems.manufactured_discrete(dom, params, eta, target)
+    _, report = solver.solve(
+        problems.ProblemSpec(dom, params, f=f),
+        solver.SolveConfig(eta=eta, outer_tol=1e-9, max_outer=300),
+    )
+    assert (report.iterations, report.inner_iterations) == (177, 187)
