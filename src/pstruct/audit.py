@@ -32,9 +32,12 @@ __all__ = [
     "estimate_c4",
     "estimate_c5",
     "c5_table",
+    "estimate_constants",
     "growth_fit",
     "r_of_q",
     "admissible_p",
+    "lhs_value",
+    "rhs_value",
     "verify_estimate",
     "tangential_energy_check",
     "holder_seminorm",
@@ -97,6 +100,14 @@ def c5_table(domain: DomainSpec, q_list=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0),
              samples: int = 20, seed: int = 0) -> dict:
     """One pass over the samples evaluating every requested q."""
     return _ratio_table(domain, q_list, samples, seed)
+
+
+def estimate_constants(domain: DomainSpec, q_list, samples: int, seed: int):
+    """(c5 table, c4, growth fit, c6); c4 is the table's q = 2 entry when
+    q_list has one, so q = 2 is evaluated once."""
+    table = c5_table(domain, q_list=q_list, samples=samples, seed=seed)
+    c4 = table[2.0] if 2.0 in table else estimate_c4(domain, samples, seed)
+    return table, c4, growth_fit(table), max([c4] + list(table.values()))
 
 
 def growth_fit(table: dict, window=Q_WINDOW) -> dict:
@@ -201,7 +212,7 @@ def _coverage_reasons(name: str, p: float, mu_values, structure: str, kind: str,
     return reasons
 
 
-def _lhs_value(domain: DomainSpec, u: np.ndarray, kind: str, q: float) -> float:
+def lhs_value(domain: DomainSpec, u: np.ndarray, kind: str, q: float) -> float:
     if kind == "d2":
         return g.norm(domain, g.second_derivatives(domain, u), q=q)
     if kind == "d2_star":
@@ -212,7 +223,7 @@ def _lhs_value(domain: DomainSpec, u: np.ndarray, kind: str, q: float) -> float:
     raise ValueError(kind)
 
 
-def _rhs_value(domain: DomainSpec, f: np.ndarray, kind: str, q: float, p: float) -> float:
+def rhs_value(domain: DomainSpec, f: np.ndarray, kind: str, q: float, p: float) -> float:
     if kind == "plain":
         return g.norm(domain, f, q=q)
     if kind == "two_term":
@@ -264,8 +275,8 @@ def verify_estimate(
                 cfg = solver.SolveConfig(eta=eta, outer_tol=outer_tol, max_outer=300)
                 u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg, initial=initial)
                 prev, prev_amp = u, amp
-                lhs = _lhs_value(domain, u, spec["lhs"], q)
-                rhs = _rhs_value(domain, f, spec["rhs"], q, p)
+                lhs = lhs_value(domain, u, spec["lhs"], q)
+                rhs = rhs_value(domain, f, spec["rhs"], q, p)
                 rows.append(
                     {
                         "name": name, "kind": kind, "n": n, "p": p, "mu": mu,
@@ -445,10 +456,7 @@ def run_audit(
     """Full audit: constants on the convex box, the named estimate checks,
     the tangential energy ratio, and a Hölder seminorm probe."""
     box = build_domain(DIRICHLET_BOX, constants_n)
-    c4 = estimate_c4(box, samples=samples, seed=seed)
-    table = c5_table(box, q_list=q_list, samples=samples, seed=seed)
-    fit = growth_fit(table)
-    c6 = max([c4] + list(table.values()))
+    table, c4, fit, c6 = estimate_constants(box, q_list, samples, seed)
     adm = admissible_p((2.0, 4.0, 6.0), c4, table)
     checks = [verify_estimate(name, n=n) for name in check_names]
 

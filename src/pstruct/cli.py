@@ -17,6 +17,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -57,11 +58,14 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _nonnegative_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError("expected an integer >= 0")
-    return value
+def _int_at_least(low: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}")
+        return value
+
+    return parse
 
 
 # section -> key -> (parser, default); this is the complete documented key set
@@ -78,7 +82,7 @@ SCHEMA = {
     "solver": {
         "eta": (_finite_float, 0.0),
         "outer_tol": (_finite_float, 1e-9),
-        "max_outer": (_nonnegative_int, 200),
+        "max_outer": (_int_at_least(0), 200),
         "inner_tol": (_finite_float, 0.0),
         "inner_maxiter": (int, 20000),
         "line_search": (_parse_bool, True),
@@ -116,7 +120,7 @@ SCHEMA = {
         "mu_values": (str, "0,0.1"),
         "amplitudes": (str, "0.25,1,4,16"),
         "seeds": (str, "101,102,103"),
-        "workers": (int, 1),
+        "workers": (_int_at_least(1), 1),
     },
 }
 
@@ -253,13 +257,19 @@ def _build_solve_config(config: dict) -> solver.SolveConfig:
         raise ConfigError(f"invalid value in [solver]: {exc}") from exc
 
 
-def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
+def _solve_configured(config: dict):
+    """(problem, solve config, field, report) of a direct or continuation solve."""
     problem = _build_problem(config)
     cfg = _build_solve_config(config)
     if cfg.continuation is not None:
         v, rep = solver.continuation_solve(problem, cfg)
     else:
         v, rep = solver.solve(problem, cfg)
+    return problem, cfg, v, rep
+
+
+def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
+    problem, _, v, rep = _solve_configured(config)
     domain = problem.domain
     report = {
         "command": "solve",
@@ -296,10 +306,7 @@ def _cmd_constants(config: dict, outdir: Path, formats: set) -> dict:
     domain = _build_domain_checked(config)
     ac = config["audit"]
     q_list = _float_list(ac["q_list"], "[audit] q_list")
-    table = audit_mod.c5_table(domain, q_list=q_list, samples=ac["samples"], seed=ac["seed"])
-    c4 = table[2.0] if 2.0 in table else audit_mod.estimate_c4(domain, ac["samples"], ac["seed"])
-    fit = audit_mod.growth_fit(table)
-    c6 = max([c4] + list(table.values()))
+    table, c4, fit, c6 = audit_mod.estimate_constants(domain, q_list, ac["samples"], ac["seed"])
     adm = audit_mod.admissible_p(q_list, c4, table)
     report = {
         "command": "constants",
@@ -351,12 +358,7 @@ def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
 
 
 def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
-    problem = _build_problem(config)
-    cfg = _build_solve_config(config)
-    if cfg.continuation is not None:
-        v, rep = solver.continuation_solve(problem, cfg)
-    else:
-        v, rep = solver.solve(problem, cfg)
+    problem, cfg, v, rep = _solve_configured(config)
     rc = config["reconstruct"]
     check = reconstruct_mod.pointwise_bound_check(
         problem.domain,
@@ -406,14 +408,9 @@ def _sweep_point_inner(args) -> dict:
     f = rhs_sample(domain, rhs_id, amplitude, seed)
     cfg = solver.SolveConfig(eta=eta, outer_tol=outer_tol, max_outer=300)
     u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg)
-    if p < 2.0:
-        lhs = g.norm(domain, u, q=2.0, sobolev_level=2)
-        rhs_val = g.norm(domain, f, q=2.0) + g.norm(
-            domain, f, q=audit_mod.r_of_q(2.0, p)
-        ) ** (1.0 / (p - 1.0))
-    else:
-        lhs = g.norm(domain, g.second_derivatives(domain, u), q=2.0)
-        rhs_val = g.norm(domain, f, q=2.0)
+    lhs_kind, rhs_kind = ("w2q", "two_term") if p < 2.0 else ("d2", "plain")
+    lhs = audit_mod.lhs_value(domain, u, lhs_kind, 2.0)
+    rhs_val = audit_mod.rhs_value(domain, f, rhs_kind, 2.0, p)
     return {
         "index": idx, "kind": kind, "n": n, "structure": structure,
         "p": p, "mu": mu, "amplitude": amplitude, "seed": seed,
@@ -469,6 +466,11 @@ def read_sweep_csv(path) -> list:
     return rows
 
 
+def _pool_size(workers: int, points: int) -> int:
+    """Worker processes for a sweep: no more than the points or the CPUs."""
+    return min(workers, points, os.cpu_count() or 1)
+
+
 def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     sc = config["sweep"]
     p_values = _float_list(sc["p_values"], "[sweep] p_values")
@@ -480,8 +482,7 @@ def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     n = config["domain"]["n"]
     structure = config["params"]["structure"]
     rhs_id = config["rhs"]["id"]
-    outer_tol = config["solver"]["outer_tol"]
-    base_eta = config["solver"]["eta"]
+    cfg = _build_solve_config(config)  # each point builds its own from these values
     for p in p_values:
         for mu in mu_values:
             try:
@@ -493,13 +494,13 @@ def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     idx = 0
     for p in p_values:
         for mu in mu_values:
-            eta = base_eta if mu > 0.0 else max(base_eta, 1e-8)
+            eta = cfg.eta if mu > 0.0 else max(cfg.eta, 1e-8)
             for amplitude in amplitudes:
                 for seed in seeds:
                     points.append((idx, kind, n, structure, p, mu, amplitude, seed,
-                                   rhs_id, eta, outer_tol))
+                                   rhs_id, eta, cfg.outer_tol))
                     idx += 1
-    workers = sc["workers"]
+    workers = _pool_size(sc["workers"], len(points))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))

@@ -39,7 +39,7 @@ class NoConvergence(PStructError):
 
 
 class IllConditioned(PStructError):
-    """Inner Krylov solve exceeded its iteration cap.
+    """Inner Krylov solve exceeded its iteration cap or lost definiteness.
 
     Carries the achieved relative residual and the last iterate.
     """

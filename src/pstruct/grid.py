@@ -37,8 +37,11 @@ __all__ = [
     "build_domain",
     "apply_constraints",
     "gradient",
+    "gradient_mode",
     "divergence",
     "laplacian",
+    "one_sided_difference",
+    "face_masks",
     "second_derivatives",
     "SecondDerivField",
     "norm",
@@ -146,6 +149,34 @@ def _diff1(domain: DomainSpec, f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def one_sided_difference(domain: DomainSpec, f: np.ndarray, axis: int, side: int) -> np.ndarray:
+    """Forward (side 1) or backward (side -1) first difference along a grid
+    axis; on a wall axis it is 0 on the last (forward) or first (backward)
+    slice, which has no face."""
+    nd = f.ndim
+    ax = nd - 3 + axis
+    if domain.is_periodic(axis):
+        if side > 0:
+            return (np.roll(f, -1, axis=ax) - f) / domain.h
+        return (f - np.roll(f, 1, axis=ax)) / domain.h
+    out = np.zeros_like(f)
+    faces = slice(0, -1) if side > 0 else slice(1, None)
+    out[_sl(nd, axis, faces)] = np.diff(f, axis=ax) / domain.h
+    return out
+
+
+@lru_cache(maxsize=None)
+def face_masks(domain: DomainSpec) -> tuple:
+    """(forward, backward) node masks: 0 on the wall slices where that
+    one_sided_difference has no face, 1 elsewhere."""
+    masks = (np.ones(domain.shape), np.ones(domain.shape))
+    for axis in range(3):
+        if not domain.is_periodic(axis):
+            masks[0][_face(3, axis, -1)] = 0.0
+            masks[1][_face(3, axis, 0)] = 0.0
+    return masks
+
+
 def _diff2(domain: DomainSpec, f: np.ndarray, axis: int) -> np.ndarray:
     """Second difference along one grid axis; 4-point one-sided on walls."""
     h2 = domain.h**2
@@ -175,11 +206,17 @@ def gradient(domain: DomainSpec, u: np.ndarray, mode: str = "full") -> np.ndarra
     out = np.empty((u.shape[0], 3) + u.shape[1:])
     for j in range(3):
         out[:, j] = _diff1(domain, u, j)
+    return gradient_mode(out, mode)
+
+
+def gradient_mode(grad: np.ndarray, mode: str) -> np.ndarray:
+    """A gradient tensor (leading axes [i, j]) as the law sees it: itself for
+    mode "full", its symmetric part (G + G^T)/2 for mode "symmetric"."""
     if mode == "symmetric":
-        out = 0.5 * (out + np.swapaxes(out, 0, 1))
-    elif mode != "full":
+        return 0.5 * (grad + np.swapaxes(grad, 0, 1))
+    if mode != "full":
         raise ValueError(f"mode must be 'full' or 'symmetric', got {mode!r}")
-    return out
+    return grad
 
 
 def divergence(domain: DomainSpec, t: np.ndarray) -> np.ndarray:

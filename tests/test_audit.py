@@ -49,6 +49,25 @@ def test_c5_table_matches_individual_calls():
         assert val >= 1.0 - 1e-15
 
 
+@pytest.mark.parametrize("q_list", [(2.0, 4.0, 8.0), (4.0, 8.0)])
+def test_estimate_constants_evaluates_the_sample_path_once_per_q(monkeypatch, q_list):
+    box = build_domain("dirichlet_box", 10)
+    c4 = audit.estimate_c4(box, samples=3, seed=1)
+    table = audit.c5_table(box, q_list=q_list, samples=3, seed=1)
+    calls = []
+    ratio_table = audit._ratio_table
+
+    def counted(domain, qs, samples, seed):
+        calls.append(tuple(qs))
+        return ratio_table(domain, qs, samples, seed)
+
+    monkeypatch.setattr(audit, "_ratio_table", counted)
+    got = audit.estimate_constants(box, q_list, samples=3, seed=1)
+    assert got == (table, c4, audit.growth_fit(table), max([c4] + list(table.values())))
+    # q = 2 comes from the table when it is listed, otherwise from estimate_c4
+    assert calls == ([q_list] if 2.0 in q_list else [q_list, (2.0,)])
+
+
 def test_constant_estimators_validate_q():
     box = build_domain("dirichlet_box", 8)
     with pytest.raises(ValueError):

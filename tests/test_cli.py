@@ -107,6 +107,7 @@ def test_section_is_named_in_value_errors(tmp_path, capsys):
     ("solver.eta=nan", r"\[solver\] eta"),
     ("rhs.amplitude=inf", r"\[rhs\] amplitude"),
     ("solver.max_outer=-1", r"\[solver\] max_outer"),
+    ("sweep.workers=0", r"\[sweep\] workers"),
 ])
 def test_non_finite_and_negative_values_rejected_at_parse(tmp_path, capsys, override, key):
     # mu = nan used to run at the default p = 2 (nan**0 == 1) and report a
@@ -118,12 +119,15 @@ def test_non_finite_and_negative_values_rejected_at_parse(tmp_path, capsys, over
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("overrides", [
+SOLVER_VALUE_ERRORS = [
     ["solver.eta=-1"],
     ["solver.outer_tol=0"],
     ["solver.continuation=true", "solver.cont_ratio=1.5"],
     ["solver.continuation=true", "solver.cont_max_steps=0"],
-])
+]
+
+
+@pytest.mark.parametrize("overrides", SOLVER_VALUE_ERRORS)
 def test_solver_value_errors_exit_2(tmp_path, capsys, overrides):
     # SolveConfig and ContinuationPath reject these with ValueError, which
     # used to escape main() as a traceback
@@ -132,6 +136,17 @@ def test_solver_value_errors_exit_2(tmp_path, capsys, overrides):
         args += ["--set", item]
     assert run_cli("solve", *args) == 2
     assert "[solver]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", SOLVER_VALUE_ERRORS)
+def test_sweep_validates_solver_settings_up_front(tmp_path, capsys, overrides):
+    # solver.eta=-1 used to end in a ValueError traceback from the first point
+    args = sweep_args(tmp_path)
+    for item in overrides:
+        args += ["--set", item]
+    assert run_cli("sweep", *args) == 2
+    assert "[solver]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_unknown_command_rejected():
@@ -332,6 +347,17 @@ def test_sweep_parallel_matches_serial(tmp_path):
     ) == 0
     parallel = json.loads((out2 / "report.json").read_text())["summary"]
     assert parallel == serial
+
+
+def test_pool_size_is_bounded_by_points_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(10_000, 32) == 2
+    assert cli._pool_size(1, 32) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._pool_size(10_000, 3) == 3
+    assert cli._pool_size(4, 32) == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(4, 32) == 1
 
 
 def test_empty_sweep(tmp_path):

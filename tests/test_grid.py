@@ -6,6 +6,7 @@ n = 16 against n = 32 and expect error ratios near 4 (second order).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pstruct import grid as g
 from pstruct.errors import EpsTooLarge, TooCoarse
@@ -180,6 +181,28 @@ def test_summation_by_parts():
         lhs = inner(dom, g.divergence(dom, t), u)
         rhs = -inner(dom, t, g.gradient(dom, u))
         assert abs(lhs - rhs) < 1e-13 * (1.0 + abs(rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(8, 11), axis=st.integers(0, 2),
+       side=st.sampled_from((1, -1)), seed=st.integers(0, 2**32 - 1))
+def test_one_sided_summation_by_parts(kind, n, axis, side, seed):
+    dom = g.build_domain(kind, n)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((3,) + dom.shape)
+    t = rng.standard_normal((3,) + dom.shape)
+    mask = g.face_masks(dom)[0 if side > 0 else 1]
+    # the mask is 1 exactly where the difference along every axis has a face
+    # (a generic field's differences vanish only where there is none)
+    has_faces = [g.one_sided_difference(dom, u[0], ax, side) != 0.0 for ax in range(3)]
+    assert np.array_equal(mask == 1.0, np.all(has_faces, axis=0))
+    assert np.all((mask == 0.0) | (mask == 1.0))
+    # on fields vanishing on the walls, D+ and D- are negative adjoints
+    g.apply_constraints(dom, u)
+    lhs = inner(dom, mask * t, g.one_sided_difference(dom, u, axis, side))
+    rhs = -inner(dom, u, g.one_sided_difference(dom, mask * t, axis, -side))
+    # every summand is at most h^3 |u| 2 max|t| / h
+    assert abs(lhs - rhs) <= 1e-13 * 2.0 * dom.h**2 * np.sum(np.abs(u)) * np.max(np.abs(t))
 
 
 def test_norm_constant_one():

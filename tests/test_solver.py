@@ -237,6 +237,80 @@ def test_pcg_stops_at_once_on_non_finite():
         solver.linear_subsolve(a, 0.0, b, dom, maxiter=50)
 
 
+def test_pcg_raises_on_loss_of_definiteness():
+    dom = grid.build_domain("dirichlet_box", 8)
+    b = grid.apply_constraints(dom, problems.rhs_sample(dom, "smooth-trig", 1.0))
+    calls = []
+
+    def negative_apply(w):
+        calls.append(1)
+        return -w
+
+    with pytest.raises(IllConditioned, match="definiteness at PCG iteration 1") as exc:
+        solver._pcg(dom, negative_apply, b, np.zeros_like(b), 1e-10, 50)
+    # used to run on to the cap path and report "inner solve cap 50 reached"
+    assert len(calls) == 2
+    assert exc.value.achieved == 1.0
+    assert np.array_equal(exc.value.field, np.zeros_like(b))
+
+
+def _one_sided(dom, f, axis, forward):
+    """Loop reference: forward or backward difference, 0 where no face."""
+    ax = f.ndim - 3 + axis
+    if dom.is_periodic(axis):
+        if forward:
+            return (np.roll(f, -1, axis=ax) - f) / dom.h
+        return (f - np.roll(f, 1, axis=ax)) / dom.h
+    out = np.zeros_like(f)
+    faces = [slice(None)] * f.ndim
+    faces[ax] = slice(0, -1) if forward else slice(1, None)
+    out[tuple(faces)] = np.diff(f, axis=ax) / dom.h
+    return out
+
+
+def _apply_pm_two_branches(dom, a_plus, a_minus, eta, mode, w):
+    """The operator as separate full and symmetric loops over (i, j)."""
+    out = np.zeros_like(w)
+    if mode == "full":
+        for i in range(3):
+            for j in range(3):
+                out[i] -= 0.5 * (
+                    _one_sided(dom, a_plus * _one_sided(dom, w[i], j, True), j, False)
+                    + _one_sided(dom, a_minus * _one_sided(dom, w[i], j, False), j, True)
+                )
+    else:
+        gp = np.array([[_one_sided(dom, w[i], j, True) for j in range(3)] for i in range(3)])
+        gm = np.array([[_one_sided(dom, w[i], j, False) for j in range(3)] for i in range(3)])
+        tp = gp + np.swapaxes(gp, 0, 1)
+        tm = gm + np.swapaxes(gm, 0, 1)
+        for i in range(3):
+            for j in range(3):
+                out[i] -= 0.25 * (
+                    _one_sided(dom, a_plus * tp[i, j], j, False)
+                    + _one_sided(dom, a_minus * tm[i, j], j, True)
+                )
+    if eta != 0.0:
+        out -= eta * grid.laplacian(dom, w)
+    return grid.apply_constraints(dom, out)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+@pytest.mark.parametrize("mode", ["full", "symmetric"])
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_apply_pm_equals_two_branch_reference_bit_for_bit(kind, mode, eta):
+    # one path for both laws: T = G or (G + G^T)/2 at coefficient 1/2 is the
+    # symmetric branch's (G + G^T) at 1/4 scaled by exact powers of two
+    dom = grid.build_domain(kind, 10)
+    rng = np.random.default_rng(12)
+    v = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
+    w = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
+    params = ConstitutiveParams(p=1.6, mu=0.05, structure=mode)
+    a_plus, a_minus, _ = solver.coefficient_field(dom, params, v)
+    got = solver._apply_pm(dom, a_plus, a_minus, eta, mode, w)
+    ref = _apply_pm_two_branches(dom, a_plus, a_minus, eta, mode, w)
+    assert np.array_equal(got, ref)
+
+
 # ---------------------------------------------------------------- nonlinear solve
 
 
