@@ -43,6 +43,7 @@ __all__ = [
     "holder_seminorm",
     "run_audit",
     "ESTIMATE_NAMES",
+    "check_q_list",
 ]
 
 Q_WINDOW = (4.0, 16.0)
@@ -69,10 +70,23 @@ def _sample_fields(domain: DomainSpec, samples: int, seed: int) -> list:
     return fields
 
 
-def _ratio_table(domain: DomainSpec, q_list, samples: int, seed: int) -> dict:
+def _check_q_range(q_list) -> None:
     for q in q_list:
         if not 2.0 <= float(q) <= 16.0:
             raise ValueError(f"q must lie in [2, 16], got {q}")
+
+
+def check_q_list(q_list) -> None:
+    """Raise ValueError unless estimate_constants can take q_list: every q
+    in [2, 16] and at least two distinct ones in Q_WINDOW for growth_fit."""
+    _check_q_range(q_list)
+    fit = {float(q) for q in q_list if Q_WINDOW[0] <= float(q) <= Q_WINDOW[1]}
+    if len(fit) < 2:
+        raise ValueError(f"need at least two q values in [4, 16], got {len(fit)}")
+
+
+def _ratio_table(domain: DomainSpec, q_list, samples: int, seed: int) -> dict:
+    _check_q_range(q_list)
     table = {float(q): 0.0 for q in q_list}
     for v in _sample_fields(domain, samples, seed):
         d2 = g.second_derivatives(domain, v)

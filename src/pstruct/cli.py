@@ -15,12 +15,14 @@ import argparse
 import concurrent.futures
 import configparser
 import csv
+import functools
 import json
 import math
 import os
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ from .audit import ESTIMATE_NAMES
 from .constitutive import ConstitutiveParams
 from .errors import ConfigError, PStructError
 from .grid import build_domain, save_field
-from .problems import ProblemSpec, RhsSpec, rhs_sample
+from .problems import SEEDED_RHS_IDS, ProblemSpec, RhsSpec, rhs_sample
 
 COMMANDS = ("solve", "audit", "constants", "reconstruct", "sweep")
 
@@ -56,6 +58,12 @@ def _finite_float(raw: str) -> float:
     if not math.isfinite(value):
         raise ValueError("expected a finite number")
     return value
+
+
+def _q_list(raw: str) -> str:
+    """The raw list, once audit.check_q_list accepts its values."""
+    audit_mod.check_q_list([_finite_float(tok) for tok in raw.split(",") if tok.strip() != ""])
+    return raw
 
 
 def _int_at_least(low: int):
@@ -109,7 +117,7 @@ SCHEMA = {
         "samples": (int, 12),
         "seed": (int, 0),
         "checks": (str, ",".join(ESTIMATE_NAMES)),
-        "q_list": (str, "2,4,6,8,10,12,16"),
+        "q_list": (_q_list, "2,4,6,8,10,12,16"),
     },
     "reconstruct": {
         "residual_tol": (_finite_float, 1e-6),
@@ -388,10 +396,12 @@ def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
     return report
 
 
-def _sweep_point(args) -> dict:
+def _sweep_point(args, base=None) -> dict:
+    """One sweep row; base is the SolveConfig whose settings other than eta
+    and outer_tol the point's solve uses (the defaults when None)."""
     (idx, kind, n, structure, p, mu, amplitude, seed, rhs_id, eta, outer_tol) = args
     try:
-        return _sweep_point_inner(args)
+        return _sweep_point_inner(args, base)
     except PStructError as exc:
         # keep the failing point identifiable when many points run, possibly
         # out of order in a worker pool
@@ -401,12 +411,14 @@ def _sweep_point(args) -> dict:
         ) from exc
 
 
-def _sweep_point_inner(args) -> dict:
+def _sweep_point_inner(args, base) -> dict:
     (idx, kind, n, structure, p, mu, amplitude, seed, rhs_id, eta, outer_tol) = args
     domain = build_domain(kind, n)
     params = ConstitutiveParams(p=p, mu=mu, structure=structure)
     f = rhs_sample(domain, rhs_id, amplitude, seed)
-    cfg = solver.SolveConfig(eta=eta, outer_tol=outer_tol, max_outer=300)
+    # each point is a direct solve at its own eta
+    base = solver.SolveConfig() if base is None else base
+    cfg = replace(base, eta=eta, outer_tol=outer_tol, continuation=None)
     u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg)
     lhs_kind, rhs_kind = ("w2q", "two_term") if p < 2.0 else ("d2", "plain")
     lhs = audit_mod.lhs_value(domain, u, lhs_kind, 2.0)
@@ -482,7 +494,7 @@ def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     n = config["domain"]["n"]
     structure = config["params"]["structure"]
     rhs_id = config["rhs"]["id"]
-    cfg = _build_solve_config(config)  # each point builds its own from these values
+    cfg = _build_solve_config(config)
     for p in p_values:
         for mu in mu_values:
             try:
@@ -500,13 +512,24 @@ def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
                     points.append((idx, kind, n, structure, p, mu, amplitude, seed,
                                    rhs_id, eta, cfg.outer_tol))
                     idx += 1
-    workers = _pool_size(sc["workers"], len(points))
+
+    def key(pt):
+        # (p, mu, amplitude), and the seed only if the forcing reads it:
+        # points equal in these are equal bit for bit and solved once
+        return pt[4:7] + ((pt[7],) if rhs_id in SEEDED_RHS_IDS else ())
+
+    distinct = {}
+    for pt in points:
+        distinct.setdefault(key(pt), pt)
+    run_point = functools.partial(_sweep_point, base=cfg)
+    workers = _pool_size(sc["workers"], len(distinct))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points))
+            solved = list(pool.map(run_point, distinct.values()))
     else:
-        rows = [_sweep_point(pt) for pt in points]
-    rows.sort(key=lambda r: r["index"])
+        solved = [run_point(pt) for pt in distinct.values()]
+    by_key = dict(zip(distinct, solved))
+    rows = [{**by_key[key(pt)], "index": pt[0], "seed": pt[7]} for pt in points]
     summary = aggregate_sweep(rows)
     report = {"command": "sweep", "config": config, "points": len(rows), "summary": summary}
     if "csv" in formats:

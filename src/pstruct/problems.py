@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 RHS_IDS = ("constant", "smooth-trig", "band-limited-random")
+SEEDED_RHS_IDS = ("band-limited-random",)  # the others ignore rhs_sample's seed
 
 
 @dataclass(frozen=True)

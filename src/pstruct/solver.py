@@ -1,15 +1,17 @@
 """Nonlinear solves of -eta*Lap(v) - div[(mu+|Gv|)^(p-2) Gv] = f.
 
 Outer loop: Kacanov (frozen secant coefficient) iteration, guarded by a
-backtracking line search on the discrete energy.  Inner loop: matrix-free
-preconditioned conjugate gradients, which raise NonFinite on a NaN and
-IllConditioned on p.Ap <= 0 at once; the preconditioner is one exact inversion
-of the constant-coefficient 7-point Laplacian per iteration (poisson module).
-For p < 2 the secant coefficient is unbounded as |Gv| -> 0, and that inversion
-is scaled symmetrically by it, s P^{-1}(s r) with s = c^{-1/2} and
-c = eta + (a+ + a-)/2 on interior nodes (s = 1 on constrained ones).  For
-p >= 2 the plain inversion is used: it is exact at p = 2, and at p > 2 the
-scaled one cost more outer iterations than it saved inner ones.
+backtracking line search on the discrete energy.  Inner loop: preconditioned
+conjugate gradients on the frozen operator assembled once per outer step as a
+CSR matrix over the free DOFs (nodes on no Dirichlet face); they raise
+NonFinite on a NaN and IllConditioned on p.Ap <= 0 at once.  The
+preconditioner is one exact inversion of the constant-coefficient 7-point
+Laplacian per iteration (poisson module).  For p < 2 the secant coefficient is
+unbounded as |Gv| -> 0, and that inversion is scaled symmetrically by it,
+s P^{-1}(s r) with s = c^{-1/2} and c = eta + (a+ + a-)/2 on interior nodes
+(s = 1 on constrained ones).  For p >= 2 the plain inversion is used: it is
+exact at p = 2, and at p > 2 the scaled one cost more outer iterations than it
+saved inner ones.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -25,14 +27,24 @@ for the symmetric one.  Because operator and energy come from the same
 functional, the residual zero and the energy minimum coincide exactly: the
 line search can never block a genuine descent direction, and for p <= 2 the
 classical Kacanov argument gives monotone energy decay outright.
+
+The frozen operator is A(a+-) = 1/2 sum_+- B+-^T diag(a+-) B+-, with B+- the
+map from w to the gradient_mode of its one-sided gradient.  _apply_pm
+evaluates it matrix-free and stays the reference: residual, apply_operator and
+apply_linear use it, so every solution is checked by an operator independent
+of the assembly.  The solves use the assembled form: per (domain, law) a
+cached sparsity pattern and a sparse linear map from the nodal coefficients to
+the CSR data, so each outer step fills the matrix with one sparse product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import grid as g
 from .constitutive import ConstitutiveParams
@@ -288,6 +300,109 @@ def _fold_eta(domain: DomainSpec, a_plus, a_minus, eta: float, mode: str):
     return a_plus + eta * mp, a_minus + eta * mm, 0.0
 
 
+def _local_stiffness(mode: str) -> np.ndarray:
+    """1/2 sum_ij b_ij b_ij^T on the 12 DOFs one one-sided gradient reads.
+
+    Local DOF 4 i + t is component i at the base node (t = 0) or one step
+    from it along axis t - 1, the step being forward or backward with the
+    side; b_ij is the row of gradient_mode(G)_ij at h = 1.  The side only
+    flips the sign of each row, so one matrix serves both.
+    """
+    grad = np.zeros((3, 3, 12))
+    for i in range(3):
+        for j in range(3):
+            grad[i, j, 4 * i + 1 + j] = 1.0
+            grad[i, j, 4 * i] = -1.0
+    rows = g.gradient_mode(grad, mode).reshape(9, 12)
+    return 0.5 * rows.T @ rows
+
+
+def _element_triplets(domain: DomainSpec, free: np.ndarray, mode: str):
+    """(row * free DOFs + column, coefficient index, value) of every local
+    stiffness entry at every base node and side whose face exists and whose
+    two DOFs are free.  Coefficient index s * nodes + node numbers a+ (s = 0)
+    then a- (s = 1)."""
+    stiffness = _local_stiffness(mode) / domain.h**2
+    size = int(free.max()) + 1
+    nodes = np.arange(free[0].size, dtype=np.int32)
+    parts = []
+    for s, (side, mask) in enumerate(zip((1, -1), g.face_masks(domain))):
+        local = [(free[i] if t == 0 else np.roll(free[i], -side, axis=t - 1)).ravel()
+                 for i in range(3) for t in range(4)]
+        face = mask.ravel() > 0.0
+        for k1, k2 in zip(*np.nonzero(stiffness)):
+            ok = face & (local[k1] >= 0) & (local[k2] >= 0)
+            parts.append((local[k1][ok] * size + local[k2][ok], nodes[ok] + s * nodes.size,
+                          np.full(np.count_nonzero(ok), stiffness[k1, k2])))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+class _Assembly(NamedTuple):
+    """The frozen operator's CSR pattern over the free DOFs of one (domain,
+    law), the linear map from the nodal coefficients [a+, a-] to its data,
+    and the data of -Lap on the same pattern (the eta term)."""
+
+    size: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefficient_map: sp.csr_matrix
+    eta_data: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _assembly(domain: DomainSpec, mode: str) -> _Assembly:
+    free = np.full((3,) + domain.shape, -1, dtype=np.int64)
+    sel = (slice(None),) + domain.interior
+    size = free[sel].size
+    free[sel] = np.arange(size).reshape(free[sel].shape)
+    # -eta*Lap is the full law's operator with coefficient eta on every face
+    laws = {law: _element_triplets(domain, free, law) for law in dict.fromkeys((mode, "full"))}
+    pattern = np.sort(np.concatenate([keys for keys, _, _ in laws.values()]))
+    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
+    maps = {}
+    for law, (keys, coef, value) in laws.items():
+        pos = np.searchsorted(pattern, keys)
+        maps[law] = sp.csr_matrix((value, (pos, coef)), shape=(pattern.size, 2 * free[0].size))
+    mp, mm = g.face_masks(domain)
+    # scipy's own index dtype, so filling a matrix copies no index array; the
+    # filled matrices share them, so they are read-only
+    indptr = np.searchsorted(pattern // size, np.arange(size + 1))
+    template = sp.csr_matrix((np.zeros(pattern.size), pattern % size, indptr), shape=(size, size))
+    template.indptr.flags.writeable = template.indices.flags.writeable = False
+    return _Assembly(
+        size=size,
+        indptr=template.indptr,
+        indices=template.indices,
+        coefficient_map=maps[mode],
+        eta_data=maps["full"] @ np.concatenate((mp.ravel(), mm.ravel())),
+    )
+
+
+def _frozen_matrix(
+    domain: DomainSpec, a_plus: np.ndarray, a_minus: np.ndarray, eta: float, mode: str
+) -> sp.csr_matrix:
+    """_apply_pm(domain, a_plus, a_minus, eta, mode, .) as a CSR matrix over
+    the free DOFs, numbered component-major in domain.interior order."""
+    asm = _assembly(domain, mode)
+    data = asm.coefficient_map @ np.concatenate((a_plus.ravel(), a_minus.ravel()))
+    if eta != 0.0:
+        data += eta * asm.eta_data
+    return sp.csr_matrix((data, asm.indices, asm.indptr), shape=(asm.size, asm.size))
+
+
+def _matrix_apply(domain: DomainSpec, matrix: sp.csr_matrix):
+    """w -> the matrix applied to the free DOFs of w, zero on constrained
+    nodes; w's constrained values are not read."""
+    sel = (slice(None),) + domain.interior
+
+    def apply(w):
+        out = np.zeros_like(w)
+        out[sel] = (matrix @ w[sel].ravel()).reshape(out[sel].shape)
+        return out
+
+    return apply
+
+
 def _coefficient_scale(domain: DomainSpec, a_plus, a_minus, eta: float) -> np.ndarray:
     """Nodal c^(-1/2), c = eta + (a+ + a-)/2, on interior nodes; 1 elsewhere."""
     s = np.ones(domain.shape)
@@ -380,13 +495,13 @@ def linear_subsolve(
 
     Raises IllConditioned (carrying the achieved residual and iterate) when
     the iteration cap is hit first, NonFinite on a NaN or infinite residual.
+    x0's values on constrained nodes are ignored.
     """
-    if x0 is None:
-        x0 = np.zeros_like(f)
+    x0 = np.zeros_like(f) if x0 is None else apply_constraints(domain, x0.copy())
+    mp, mm = g.face_masks(domain)
     a = coefficient_field
-    x, _ = _inner_solve(
-        domain, lambda w: apply_linear(domain, a, eta, mode, w), f, x0, rtol, maxiter
-    )
+    matrix = _frozen_matrix(domain, a * mp, a * mm, eta, mode)
+    x, _ = _inner_solve(domain, _matrix_apply(domain, matrix), f, x0, rtol, maxiter)
     return x
 
 
@@ -461,7 +576,8 @@ def solve(
         a_plus, a_minus, hit = coefficient_field(domain, params, v, config.coefficient_floor)
         report.floor_active |= hit
         a_plus, a_minus, eta = _fold_eta(domain, a_plus, a_minus, config.eta, mode)
-        res = _l2(f - _apply_pm(domain, a_plus, a_minus, eta, mode, v)) / fnorm
+        apply_a = _matrix_apply(domain, _frozen_matrix(domain, a_plus, a_minus, eta, mode))
+        res = _l2(f - apply_a(v)) / fnorm
         _require_finite(res, "relative residual")
         e_cur = energy(v, problem, config.eta) if e_next is None else e_next
         _require_finite(e_cur, "energy")
@@ -480,13 +596,7 @@ def solve(
         # the unbounded p < 2 coefficient is what the plain Poisson inverse misses
         scale = _coefficient_scale(domain, a_plus, a_minus, eta) if params.p < 2.0 else None
         w, inner_it = _inner_solve(
-            domain,
-            lambda u: _apply_pm(domain, a_plus, a_minus, eta, mode, u),
-            f,
-            v,
-            inner_rtol,
-            config.inner_maxiter,
-            scale,
+            domain, apply_a, f, v, inner_rtol, config.inner_maxiter, scale
         )
         report.inner_iterations += inner_it
         delta = w - v

@@ -261,6 +261,22 @@ def test_audit_command_subset(tmp_path):
     assert (out / "tables" / "constants.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["constants", "audit"])
+@pytest.mark.parametrize("q_list, why", [
+    ("2,4", "need at least two q values in [4, 16], got 1"),
+    ("1,4,8", "q must lie in [2, 16], got 1.0"),
+], ids=["one-in-window", "below-range"])
+def test_q_list_is_validated_at_parse(tmp_path, capsys, command, q_list, why):
+    # both used to end in a ValueError traceback from audit, exit status 1
+    with pytest.raises(ConfigError, match=r"\[audit\] q_list"):
+        cli.load_config(None, [f"audit.q_list={q_list}"])
+    assert run_cli(command, *base_args(tmp_path, "--set", f"audit.q_list={q_list}")) == 2
+    err = capsys.readouterr().err
+    assert "[audit] q_list" in err
+    assert why in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # ---------------------------------------------------------------- reconstruct
 
 
@@ -347,6 +363,56 @@ def test_sweep_parallel_matches_serial(tmp_path):
     ) == 0
     parallel = json.loads((out2 / "report.json").read_text())["summary"]
     assert parallel == serial
+
+
+def test_sweep_honours_solver_settings(tmp_path, capsys):
+    # max_outer used to be ignored: the point ran to its own cap of 300
+    args = base_args(tmp_path, "--set", "solver.max_outer=1", "--set", "sweep.p_values=1.5",
+                     "--set", "sweep.mu_values=0.1", "--set", "sweep.amplitudes=1",
+                     "--set", "sweep.seeds=1")
+    assert run_cli("sweep", *args) == 2
+    err = capsys.readouterr().err
+    assert "sweep point index=0 p=1.5 mu=0.1 amplitude=1 seed=1" in err
+    assert "no convergence in 1 outer iterations" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _counted_sweep(monkeypatch, args):
+    solve, calls = cli.solver.solve, []
+
+    def counting_solve(*a, **k):
+        calls.append(1)
+        return solve(*a, **k)
+
+    monkeypatch.setattr(cli.solver, "solve", counting_solve)
+    assert run_cli("sweep", *args) == 0
+    monkeypatch.setattr(cli.solver, "solve", solve)
+    return len(calls)
+
+
+def test_sweep_solves_each_distinct_point_once(tmp_path, monkeypatch):
+    # smooth-trig ignores the seed: 2 mu x 2 amplitudes x 3 seeds are 4
+    # distinct solves, and the rows are byte for byte those of 12 solves
+    out = tmp_path / "out"
+    args = base_args(tmp_path, "--set", "sweep.p_values=1.5", "--set", "sweep.amplitudes=1,4")
+    assert _counted_sweep(monkeypatch, args) == 4
+    deduplicated = [(out / name).read_bytes() for name in ("report.json", "tables/sweep.csv")]
+    monkeypatch.setattr(cli, "SEEDED_RHS_IDS", cli.SEEDED_RHS_IDS + ("smooth-trig",))
+    assert _counted_sweep(monkeypatch, args) == 12
+    assert [(out / name).read_bytes() for name in ("report.json", "tables/sweep.csv")] \
+        == deduplicated
+    rows = cli.read_sweep_csv(out / "tables" / "sweep.csv")
+    assert [r["index"] for r in rows] == list(range(12))
+    assert [r["seed"] for r in rows] == [101, 102, 103] * 4
+
+
+def test_sweep_keeps_seeded_forcings_apart(tmp_path, monkeypatch):
+    args = base_args(tmp_path, "--set", "rhs.id=band-limited-random",
+                     "--set", "sweep.p_values=1.5", "--set", "sweep.mu_values=0.1",
+                     "--set", "sweep.amplitudes=1", "--set", "sweep.seeds=101,102")
+    assert _counted_sweep(monkeypatch, args) == 2
+    rows = cli.read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
+    assert rows[0]["lhs"] != rows[1]["lhs"]
 
 
 def test_pool_size_is_bounded_by_points_and_cpus(monkeypatch):

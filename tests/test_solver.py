@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pstruct import grid, problems, solver
@@ -309,6 +310,54 @@ def test_apply_pm_equals_two_branch_reference_bit_for_bit(kind, mode, eta):
     got = solver._apply_pm(dom, a_plus, a_minus, eta, mode, w)
     ref = _apply_pm_two_branches(dom, a_plus, a_minus, eta, mode, w)
     assert np.array_equal(got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["dirichlet_box", "cubic_periodic"]),
+       mode=st.sampled_from(["full", "symmetric"]), n=st.integers(8, 11),
+       eta=st.sampled_from([0.0, 1e-8, 1e-3, 0.7]), floored=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_assembled_operator_equals_apply_pm(kind, mode, n, eta, floored, seed):
+    # random one-sided coefficients, a share of them at the p = 1.5 floor
+    # value, masked like coefficient_field's
+    dom = grid.build_domain(kind, n)
+    rng = np.random.default_rng(seed)
+    top = solver.COEFFICIENT_FLOOR ** (1.5 - 2.0)
+    a_plus, a_minus = (
+        np.where(rng.random(dom.shape) < floored, top, rng.uniform(0.01, 100.0, dom.shape)) * m
+        for m in grid.face_masks(dom)
+    )
+    w = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
+    matrix = solver._frozen_matrix(dom, a_plus, a_minus, eta, mode)
+    got = solver._matrix_apply(dom, matrix)(w)
+    ref = solver._apply_pm(dom, a_plus, a_minus, eta, mode, w)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert (matrix != matrix.T).nnz == 0
+
+
+def test_assembly_cache_is_bounded():
+    solver._assembly.cache_clear()
+    maxsize = solver._assembly.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for n in (8, 9, 10):
+        for kind in ("dirichlet_box", "cubic_periodic"):
+            dom = grid.build_domain(kind, n)
+            a = np.ones(dom.shape)
+            for mode in ("full", "symmetric"):
+                solver._frozen_matrix(dom, a, a, 0.0, mode)
+                assert solver._assembly.cache_info().currsize <= maxsize
+    assert solver._assembly.cache_info().misses == 12
+
+
+def test_reference_operator_builds_no_assembly():
+    # residual, apply_operator and apply_linear stay matrix-free: they check
+    # the assembled solves independently and warm no cache
+    solver._assembly.cache_clear()
+    dom = grid.build_domain("dirichlet_box", 8)
+    prob = make_problem(dom, 1.5, 0.1, structure="symmetric")
+    v = solver.residual(dom, prob.params, 1e-2, prob.forcing(), prob.forcing())
+    solver.apply_linear(dom, np.ones(dom.shape), 0.0, "full", v)
+    assert solver._assembly.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- nonlinear solve
