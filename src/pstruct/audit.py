@@ -94,8 +94,8 @@ def _ratio_table(domain: DomainSpec, q_list, samples: int, seed: int) -> dict:
         tr = d2.trace()
         trsq = np.sum(tr * tr, axis=0)
         for q in table:
-            num = g._lq(domain, sq, q, True)
-            den = g._lq(domain, trsq, q, True)
+            num = g.lq_norm_from_squares(domain, sq, q, True)
+            den = g.lq_norm_from_squares(domain, trsq, q, True)
             table[q] = max(table[q], num / den)
     return table
 
@@ -231,7 +231,7 @@ def lhs_value(domain: DomainSpec, u: np.ndarray, kind: str, q: float) -> float:
         return g.norm(domain, g.second_derivatives(domain, u), q=q)
     if kind == "d2_star":
         d2 = g.second_derivatives(domain, u)
-        return g._lq(domain, np.maximum(d2.sq_tangential(), 0.0), q, True)
+        return g.lq_norm_from_squares(domain, np.maximum(d2.sq_tangential(), 0.0), q, True)
     if kind == "w2q":
         return g.norm(domain, u, q=q, sobolev_level=2)
     raise ValueError(kind)
@@ -367,14 +367,14 @@ def tangential_energy_check(domain: DomainSpec, u: np.ndarray, p: float, mu: flo
     with np.errstate(divide="ignore"):
         wt = np.where(base > 0.0, base ** (p - 2.0), 0.0)
     stress = wt * du
-    w = g._weights(domain)
+    w = g.quadrature_weights(domain)
     per_axis = {}
     total_i = 0.0
     total_j = 0.0
     for label, s in (("x", 0), ("y", 1)):
-        ds_stress = g._diff1(domain, stress, s)
-        ds_full = g._diff1(domain, full, s)
-        ds_du = g._diff1(domain, du, s)
+        ds_stress = g.centered_difference(domain, stress, s)
+        ds_full = g.centered_difference(domain, full, s)
+        ds_du = g.centered_difference(domain, du, s)
         j_s = float(np.sum(w * np.einsum("ij...,ij...->...", ds_stress, ds_full)))
         i_s = float(np.sum(w * wt * np.einsum("ij...,ij...->...", ds_du, ds_du)))
         per_axis[label] = {"I_s": i_s, "J_s": j_s}

@@ -66,6 +66,20 @@ def _q_list(raw: str) -> str:
     return raw
 
 
+def _positive_list(raw: str) -> str:
+    """The raw list, once every value in it is a finite number > 0."""
+    if not all(_finite_float(tok) > 0.0 for tok in raw.split(",") if tok.strip() != ""):
+        raise ValueError("expected numbers > 0")
+    return raw
+
+
+def _unit_fraction(raw: str) -> float:
+    value = _finite_float(raw)
+    if not 0.0 <= value < 1.0:
+        raise ValueError("expected a number in [0, 1)")
+    return value
+
+
 def _int_at_least(low: int):
     def parse(raw: str) -> int:
         value = int(raw)
@@ -80,7 +94,7 @@ def _int_at_least(low: int):
 SCHEMA = {
     "domain": {
         "kind": (str, "cubic_periodic"),
-        "n": (int, 16),
+        "n": (_int_at_least(g.MIN_NODES), 16),
     },
     "params": {
         "p": (_finite_float, 2.0),
@@ -91,8 +105,8 @@ SCHEMA = {
         "eta": (_finite_float, 0.0),
         "outer_tol": (_finite_float, 1e-9),
         "max_outer": (_int_at_least(0), 200),
-        "inner_tol": (_finite_float, 0.0),
-        "inner_maxiter": (int, 20000),
+        "inner_tol": (_unit_fraction, 0.0),
+        "inner_maxiter": (_int_at_least(1), 20000),
         "line_search": (_parse_bool, True),
         "continuation": (_parse_bool, False),
         "cont_eta0": (_finite_float, 1e-1),
@@ -112,9 +126,9 @@ SCHEMA = {
         "formats": (str, "json,csv"),
     },
     "audit": {
-        "n": (int, 16),
-        "constants_n": (int, 32),
-        "samples": (int, 12),
+        "n": (_int_at_least(g.MIN_NODES), 16),
+        "constants_n": (_int_at_least(g.MIN_NODES), 32),
+        "samples": (_int_at_least(0), 12),
         "seed": (int, 0),
         "checks": (str, ",".join(ESTIMATE_NAMES)),
         "q_list": (_q_list, "2,4,6,8,10,12,16"),
@@ -126,7 +140,7 @@ SCHEMA = {
     "sweep": {
         "p_values": (str, "1.2,1.5,1.8"),
         "mu_values": (str, "0,0.1"),
-        "amplitudes": (str, "0.25,1,4,16"),
+        "amplitudes": (_positive_list, "0.25,1,4,16"),
         "seeds": (str, "101,102,103"),
         "workers": (_int_at_least(1), 1),
     },

@@ -42,6 +42,9 @@ __all__ = [
     "laplacian",
     "one_sided_difference",
     "face_masks",
+    "centered_difference",
+    "quadrature_weights",
+    "lq_norm_from_squares",
     "second_derivatives",
     "SecondDerivField",
     "norm",
@@ -131,8 +134,9 @@ def _sl(ndim: int, grid_axis: int, s: slice) -> tuple:
     return tuple(sl)
 
 
-def _diff1(domain: DomainSpec, f: np.ndarray, axis: int) -> np.ndarray:
-    """Centered first difference along a grid axis, one-sided on wall nodes."""
+def centered_difference(domain: DomainSpec, f: np.ndarray, axis: int) -> np.ndarray:
+    """Centered first difference along a grid axis, second-order one-sided
+    on wall nodes; gradient(), divergence() and second_derivatives() use it."""
     h = domain.h
     nd = f.ndim
     ax = nd - 3 + axis
@@ -205,7 +209,7 @@ def gradient(domain: DomainSpec, u: np.ndarray, mode: str = "full") -> np.ndarra
     u = np.asarray(u, dtype=float)
     out = np.empty((u.shape[0], 3) + u.shape[1:])
     for j in range(3):
-        out[:, j] = _diff1(domain, u, j)
+        out[:, j] = centered_difference(domain, u, j)
     return gradient_mode(out, mode)
 
 
@@ -224,7 +228,7 @@ def divergence(domain: DomainSpec, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.zeros((t.shape[0],) + t.shape[2:])
     for j in range(3):
-        out += _diff1(domain, t[:, j], j)
+        out += centered_difference(domain, t[:, j], j)
     return out
 
 
@@ -285,17 +289,19 @@ def second_derivatives(domain: DomainSpec, u: np.ndarray) -> SecondDerivField:
     """
     u = np.asarray(u, dtype=float)
     vals = np.empty((u.shape[0], 6) + u.shape[1:])
-    first = [_diff1(domain, u, ax) for ax in range(3)]
+    first = [centered_difference(domain, u, ax) for ax in range(3)]
     for idx, (a, b) in enumerate(D2_PAIRS):
         if a == b:
             vals[:, idx] = _diff2(domain, u, a)
         else:
-            vals[:, idx] = _diff1(domain, first[a], b)
+            vals[:, idx] = centered_difference(domain, first[a], b)
     return SecondDerivField(domain, vals)
 
 
 @lru_cache(maxsize=32)
-def _weights(domain: DomainSpec) -> np.ndarray:
+def quadrature_weights(domain: DomainSpec) -> np.ndarray:
+    """Node-centered cell volumes: h per axis, h/2 on wall nodes, so the
+    constant 1 integrates to 1 exactly.  Cached and read-only."""
     axes = []
     for ax in range(3):
         w = np.full(domain.shape[ax], domain.h)
@@ -303,7 +309,9 @@ def _weights(domain: DomainSpec) -> np.ndarray:
             w[0] *= 0.5
             w[-1] *= 0.5
         axes.append(w)
-    return axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
+    out = axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -313,8 +321,12 @@ def _interior_weights(domain: DomainSpec) -> np.ndarray:
     return w
 
 
-def _lq(domain: DomainSpec, mag_sq: np.ndarray, q: float, interior_only: bool) -> float:
-    w = _interior_weights(domain) if interior_only else _weights(domain)
+def lq_norm_from_squares(domain: DomainSpec, mag_sq: np.ndarray, q: float,
+                         interior_only: bool) -> float:
+    """Discrete L^q norm (q >= 1 or numpy.inf) of a field given its
+    pointwise squared magnitude, weighted by quadrature_weights, or by h^3 on
+    interior nodes only when interior_only."""
+    w = _interior_weights(domain) if interior_only else quadrature_weights(domain)
     if np.isinf(q):
         mask = w > 0.0
         return float(np.sqrt(np.max(mag_sq[..., mask], initial=0.0)))
@@ -348,13 +360,13 @@ def norm(domain: DomainSpec, field, q: float = 2.0, sobolev_level: int = 0) -> f
         raise ValueError(f"sobolev_level must be 0, 1 or 2, got {sobolev_level}")
     if sobolev_level == 0:
         interior_only = isinstance(field, SecondDerivField)
-        return _lq(domain, _magnitude_sq(field), q, interior_only)
+        return lq_norm_from_squares(domain, _magnitude_sq(field), q, interior_only)
     u = np.asarray(field, dtype=float)
-    terms = [_lq(domain, _magnitude_sq(u), q, False)]
-    terms.append(_lq(domain, _magnitude_sq(gradient(domain, u)), q, False))
+    terms = [lq_norm_from_squares(domain, _magnitude_sq(u), q, False)]
+    terms.append(lq_norm_from_squares(domain, _magnitude_sq(gradient(domain, u)), q, False))
     if sobolev_level == 2:
         d2 = second_derivatives(domain, u)
-        terms.append(_lq(domain, d2.sq_all(), q, True))
+        terms.append(lq_norm_from_squares(domain, d2.sq_all(), q, True))
     if np.isinf(q):
         return float(max(terms))
     return float(np.sum(np.asarray(terms) ** q) ** (1.0 / q))

@@ -1,17 +1,18 @@
 """Nonlinear solves of -eta*Lap(v) - div[(mu+|Gv|)^(p-2) Gv] = f.
 
 Outer loop: Kacanov (frozen secant coefficient) iteration, guarded by a
-backtracking line search on the discrete energy.  Inner loop: preconditioned
-conjugate gradients on the frozen operator assembled once per outer step as a
-CSR matrix over the free DOFs (nodes on no Dirichlet face); they raise
-NonFinite on a NaN and IllConditioned on p.Ap <= 0 at once.  The
+backtracking line search on the discrete energy.  Inner loop: one
+preconditioned conjugate gradient solve, _pcg, on flat vectors over the free
+DOFs (nodes on no Dirichlet face), with the frozen operator, its eta term
+included, assembled once per outer step as a CSR matrix over those DOFs.
+_pcg is the only place an inner solve fails, and it fails at once: NonFinite
+on a NaN, IllConditioned on p.Ap <= 0 or on reaching its iteration cap.  The
 preconditioner is one exact inversion of the constant-coefficient 7-point
 Laplacian per iteration (poisson module).  For p < 2 the secant coefficient is
 unbounded as |Gv| -> 0, and that inversion is scaled symmetrically by it,
-s P^{-1}(s r) with s = c^{-1/2} and c = eta + (a+ + a-)/2 on interior nodes
-(s = 1 on constrained ones).  For p >= 2 the plain inversion is used: it is
-exact at p = 2, and at p > 2 the scaled one cost more outer iterations than it
-saved inner ones.
+s P^{-1}(s r) with s = c^{-1/2} and c = eta + (a+ + a-)/2 per free node.  For
+p >= 2 the plain inversion is used: it is exact at p = 2, and at p > 2 the
+scaled one cost more outer iterations than it saved inner ones.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -33,8 +34,9 @@ map from w to the gradient_mode of its one-sided gradient.  _apply_pm
 evaluates it matrix-free and stays the reference: residual, apply_operator and
 apply_linear use it, so every solution is checked by an operator independent
 of the assembly.  The solves use the assembled form: per (domain, law) a
-cached sparsity pattern and a sparse linear map from the nodal coefficients to
-the CSR data, so each outer step fills the matrix with one sparse product.
+cached sparsity pattern, a sparse linear map from the nodal coefficients to
+the CSR data and the data of the eta term, so each outer step fills the
+matrix with one sparse product and one scaled add.
 """
 
 from __future__ import annotations
@@ -286,20 +288,6 @@ def residual(
     return apply_constraints(domain, r)
 
 
-def _fold_eta(domain: DomainSpec, a_plus, a_minus, eta: float, mode: str):
-    """Move -eta*Lap into the face coefficients where the form allows it.
-
-    In full-gradient mode -eta*Lap(w) is _apply_pm with coefficients eta on
-    every face, so (a+ + eta m+, a- + eta m-) at eta 0 is the same operator
-    without the separate Laplacian.  The symmetric-gradient form has no such
-    identity and keeps its eta.  Returns (a_plus, a_minus, remaining eta).
-    """
-    if mode != "full" or eta == 0.0:
-        return a_plus, a_minus, eta
-    mp, mm = g.face_masks(domain)
-    return a_plus + eta * mp, a_minus + eta * mm, 0.0
-
-
 def _local_stiffness(mode: str) -> np.ndarray:
     """1/2 sum_ij b_ij b_ij^T on the 12 DOFs one one-sided gradient reads.
 
@@ -390,25 +378,27 @@ def _frozen_matrix(
     return sp.csr_matrix((data, asm.indices, asm.indptr), shape=(asm.size, asm.size))
 
 
-def _matrix_apply(domain: DomainSpec, matrix: sp.csr_matrix):
-    """w -> the matrix applied to the free DOFs of w, zero on constrained
-    nodes; w's constrained values are not read."""
+def _free(domain: DomainSpec, w: np.ndarray) -> np.ndarray:
+    """The free-DOF vector of a full-grid field, in _frozen_matrix's order."""
+    return w[(slice(None),) + domain.interior].ravel()
+
+
+def _field(domain: DomainSpec, x: np.ndarray) -> np.ndarray:
+    """The full-grid field of a free-DOF vector, zero on constrained nodes."""
+    out = np.zeros((3,) + domain.shape)
     sel = (slice(None),) + domain.interior
-
-    def apply(w):
-        out = np.zeros_like(w)
-        out[sel] = (matrix @ w[sel].ravel()).reshape(out[sel].shape)
-        return out
-
-    return apply
+    out[sel] = x.reshape(out[sel].shape)
+    return out
 
 
-def _coefficient_scale(domain: DomainSpec, a_plus, a_minus, eta: float) -> np.ndarray:
-    """Nodal c^(-1/2), c = eta + (a+ + a-)/2, on interior nodes; 1 elsewhere."""
-    s = np.ones(domain.shape)
-    c = eta + 0.5 * (a_plus[domain.interior] + a_minus[domain.interior])
-    s[domain.interior] = c**-0.5
-    return s
+def _preconditioner(domain: DomainSpec, scale=1.0):
+    """r -> s P^{-1}(s r) on free-DOF vectors, P^{-1} the exact Poisson inverse
+    and s > 0 per free DOF (or 1): symmetric positive definite for every s."""
+
+    def precondition(r):
+        return scale * _free(domain, poisson_solve(domain, _field(domain, scale * r)))
+
+    return precondition
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -417,40 +407,36 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _pcg(domain, apply_a, b, x0, rtol, maxiter, scale=None):
-    """Preconditioned CG; returns (x, iterations, relative_residual).
+def _pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
+    """Preconditioned CG on free-DOF vectors to relative residual rtol;
+    returns (x, iterations).
 
-    The preconditioner is poisson_solve, or s * poisson_solve(s * r) for a
-    nodal scale vector s, which keeps it symmetric positive definite.  A
-    non-finite residual norm or p.Ap raises NonFinite at once, and p.Ap <= 0
-    (the operator is not positive definite) raises IllConditioned carrying
-    the best iterate.
+    Every inner-solve failure is raised here, at once: a non-finite residual
+    norm or p.Ap raises NonFinite; p.Ap <= 0 (the operator is not positive
+    definite) and reaching maxiter raise IllConditioned carrying the best
+    relative residual and the best iterate as a full-grid field.
     """
-
-    def precondition(r):
-        if scale is None:
-            return poisson_solve(domain, r)
-        return scale * poisson_solve(domain, scale * r)
-
     bnorm = _l2(b)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
+        return np.zeros_like(b), 0
     x = x0.copy()
     r = b - apply_a(x)
     rn = _require_finite(_l2(r), "PCG residual norm")
     if rn <= rtol * bnorm:
-        return x, 0, rn / bnorm
+        return x, 0
     z = precondition(r)
     p = z.copy()
     rz = float(np.sum(r * z))
     best = (rn, x.copy())
+    failure = f"inner solve cap {maxiter} reached (target {rtol:.3e})"
     for k in range(1, maxiter + 1):
         ap = apply_a(p)
+        # np.sum, not a @ b: on long vectors the latter is BLAS's threaded
+        # ddot, whose threads oversubscribe the CPUs of a sweep's workers
         denom = _require_finite(float(np.sum(p * ap)), "PCG p.Ap")
         if denom <= 0.0:
-            rel = best[0] / bnorm
-            raise IllConditioned(f"loss of definiteness at PCG iteration {k}: p.Ap = {denom:.3e}, "
-                                 f"best relative residual {rel:.3e}", achieved=rel, field=best[1])
+            failure = f"loss of definiteness at PCG iteration {k}: p.Ap = {denom:.3e}"
+            break
         alpha = rz / denom
         x += alpha * p
         r -= alpha * ap
@@ -458,27 +444,14 @@ def _pcg(domain, apply_a, b, x0, rtol, maxiter, scale=None):
         if rn < best[0]:
             best = (rn, x.copy())
         if rn <= rtol * bnorm:
-            return x, k, rn / bnorm
+            return x, k
         z = precondition(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    rn, x = best
-    return x, maxiter, rn / bnorm
-
-
-def _inner_solve(domain, apply_a, b, x0, rtol, maxiter, scale=None):
-    """_pcg to rtol; raises IllConditioned with the best iterate if the cap
-    is reached first.  Returns (x, iterations)."""
-    x, iters, rel = _pcg(domain, apply_a, b, x0, rtol, maxiter, scale)
-    if rel > rtol:
-        raise IllConditioned(
-            f"inner solve cap {maxiter} reached at relative residual {rel:.3e} "
-            f"(target {rtol:.3e})",
-            achieved=rel,
-            field=x,
-        )
-    return x, iters
+    rel = best[0] / bnorm
+    raise IllConditioned(f"{failure}, best relative residual {rel:.3e}", achieved=rel,
+                         field=_field(domain, best[1]))
 
 
 def linear_subsolve(
@@ -495,14 +468,14 @@ def linear_subsolve(
 
     Raises IllConditioned (carrying the achieved residual and iterate) when
     the iteration cap is hit first, NonFinite on a NaN or infinite residual.
-    x0's values on constrained nodes are ignored.
+    The values of f and x0 on constrained nodes are ignored.
     """
-    x0 = np.zeros_like(f) if x0 is None else apply_constraints(domain, x0.copy())
     mp, mm = g.face_masks(domain)
     a = coefficient_field
     matrix = _frozen_matrix(domain, a * mp, a * mm, eta, mode)
-    x, _ = _inner_solve(domain, _matrix_apply(domain, matrix), f, x0, rtol, maxiter)
-    return x
+    x0 = np.zeros(matrix.shape[0]) if x0 is None else _free(domain, x0)
+    x, _ = _pcg(domain, matrix.dot, _preconditioner(domain), _free(domain, f), x0, rtol, maxiter)
+    return _field(domain, x)
 
 
 def stress_potential(t: np.ndarray, p: float, mu: float) -> np.ndarray:
@@ -570,17 +543,16 @@ def solve(
     else:
         v = apply_constraints(domain, initial.copy())
 
-    mode = params.structure
+    b = _free(domain, f)
     e_next = None  # energy of the accepted line-search trial, if evaluated
     for it in range(config.max_outer + 1):
         a_plus, a_minus, hit = coefficient_field(domain, params, v, config.coefficient_floor)
         report.floor_active |= hit
-        a_plus, a_minus, eta = _fold_eta(domain, a_plus, a_minus, config.eta, mode)
-        apply_a = _matrix_apply(domain, _frozen_matrix(domain, a_plus, a_minus, eta, mode))
-        res = _l2(f - apply_a(v)) / fnorm
-        _require_finite(res, "relative residual")
-        e_cur = energy(v, problem, config.eta) if e_next is None else e_next
-        _require_finite(e_cur, "energy")
+        matrix = _frozen_matrix(domain, a_plus, a_minus, config.eta, params.structure)
+        x = _free(domain, v)
+        res = _require_finite(_l2(b - matrix @ x) / fnorm, "relative residual")
+        e_cur = _require_finite(energy(v, problem, config.eta) if e_next is None else e_next,
+                                "energy")
         report.residual_history.append(res)
         report.energy_history.append(e_cur)
         report.norm_history["grad_p"].append(g.norm(domain, g.gradient(domain, v), q=params.p))
@@ -593,13 +565,14 @@ def solve(
         if it == config.max_outer:
             break
         inner_rtol = config.inner_tol or max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
-        # the unbounded p < 2 coefficient is what the plain Poisson inverse misses
-        scale = _coefficient_scale(domain, a_plus, a_minus, eta) if params.p < 2.0 else None
-        w, inner_it = _inner_solve(
-            domain, apply_a, f, v, inner_rtol, config.inner_maxiter, scale
-        )
+        scale = 1.0
+        if params.p < 2.0:  # the unbounded coefficient the plain Poisson inverse misses
+            c = config.eta + 0.5 * (a_plus[domain.interior] + a_minus[domain.interior])
+            scale = np.tile(c.ravel() ** -0.5, 3)
+        x, inner_it = _pcg(domain, matrix.dot, _preconditioner(domain, scale), b, x,
+                           inner_rtol, config.inner_maxiter)
         report.inner_iterations += inner_it
-        delta = w - v
+        delta = _field(domain, x) - v
         theta = 1.0
         e_next = None
         if config.line_search:

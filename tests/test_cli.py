@@ -108,15 +108,36 @@ def test_section_is_named_in_value_errors(tmp_path, capsys):
     ("rhs.amplitude=inf", r"\[rhs\] amplitude"),
     ("solver.max_outer=-1", r"\[solver\] max_outer"),
     ("sweep.workers=0", r"\[sweep\] workers"),
+    ("solver.inner_tol=-1", r"\[solver\] inner_tol"),
+    ("solver.inner_tol=1", r"\[solver\] inner_tol"),
+    ("solver.inner_maxiter=0", r"\[solver\] inner_maxiter"),
+    ("domain.n=4", r"\[domain\] n"),
+    ("audit.n=4", r"\[audit\] n"),
+    ("audit.constants_n=7", r"\[audit\] constants_n"),
+    ("audit.samples=-2", r"\[audit\] samples"),
+    ("sweep.amplitudes=-1", r"\[sweep\] amplitudes"),
+    ("sweep.amplitudes=1,0", r"\[sweep\] amplitudes"),
 ])
 def test_non_finite_and_negative_values_rejected_at_parse(tmp_path, capsys, override, key):
     # mu = nan used to run at the default p = 2 (nan**0 == 1) and report a
-    # converged solve; eta = nan and amplitude = inf spun in the inner solve
+    # converged solve; eta = nan and amplitude = inf spun in the inner solve.
+    # inner_tol = -1 ran PCG into a loss of definiteness, amplitudes = -1
+    # ended in a traceback, and audit.n = 4 failed without the key only after
+    # the constants pass
     with pytest.raises(ConfigError, match=key):
         cli.load_config(None, [override])
     assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
     assert re.search(key, capsys.readouterr().err)
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_range_limits_are_accepted():
+    config = cli.load_config(None, ["domain.n=8", "audit.n=8", "audit.constants_n=8",
+                                    "audit.samples=0", "solver.inner_tol=0.5",
+                                    "solver.inner_maxiter=1", "sweep.amplitudes=1e-3,,2"])
+    assert (config["domain"]["n"], config["audit"]["samples"]) == (8, 0)
+    assert config["solver"]["inner_tol"] == 0.5
+    assert config["sweep"]["amplitudes"] == "1e-3,,2"
 
 
 SOLVER_VALUE_ERRORS = [

@@ -255,6 +255,29 @@ def test_norm_second_deriv_interior_only():
     assert abs(g.norm(dom, d2, q=2.0) - manual) < 1e-12 * manual
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_public_quadrature_helpers(kind):
+    # the building blocks audit uses are public, and norm is made of them
+    for name in ("centered_difference", "quadrature_weights", "lq_norm_from_squares"):
+        assert name in g.__all__
+    dom = g.build_domain(kind, 10)
+    w = g.quadrature_weights(dom)
+    assert abs(float(np.sum(w)) - 1.0) < 1e-14
+    assert not w.flags.writeable
+    x, _, z = dom.meshgrid()
+    # exact on quadratics, wall nodes included
+    np.testing.assert_allclose(g.centered_difference(dom, z * z, 2), 2.0 * z, atol=1e-12)
+    assert np.array_equal(g.gradient(dom, np.stack([x, z, z * z]))[:, 2],
+                          g.centered_difference(dom, np.stack([x, z, z * z]), 2))
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal((3,) + dom.shape)
+    sq = np.sum(u * u, axis=0)
+    for q in (2.0, 5.0, np.inf):
+        assert g.lq_norm_from_squares(dom, sq, q, False) == g.norm(dom, u, q=q)
+    d2 = g.second_derivatives(dom, u)
+    assert g.lq_norm_from_squares(dom, d2.sq_all(), 3.0, True) == g.norm(dom, d2, q=3.0)
+
+
 def test_mollify_constant_interior():
     dom = g.build_domain(g.CUBIC_PERIODIC, 16)
     f = np.ones((1,) + dom.shape)
