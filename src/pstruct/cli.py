@@ -60,34 +60,42 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _q_list(raw: str) -> str:
-    """The raw list, once audit.check_q_list accepts its values."""
-    audit_mod.check_q_list([_finite_float(tok) for tok in raw.split(",") if tok.strip() != ""])
-    return raw
+def _where(convert, test, expected: str):
+    """Parser that converts the raw string and requires test of the value;
+    expected describes the values test accepts."""
 
-
-def _positive_list(raw: str) -> str:
-    """The raw list, once every value in it is a finite number > 0."""
-    if not all(_finite_float(tok) > 0.0 for tok in raw.split(",") if tok.strip() != ""):
-        raise ValueError("expected numbers > 0")
-    return raw
-
-
-def _unit_fraction(raw: str) -> float:
-    value = _finite_float(raw)
-    if not 0.0 <= value < 1.0:
-        raise ValueError("expected a number in [0, 1)")
-    return value
-
-
-def _int_at_least(low: int):
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise ValueError(f"expected an integer >= {low}")
+    def parse(raw: str):
+        value = convert(raw)
+        if not test(value):
+            raise ValueError(f"expected {expected}")
         return value
 
     return parse
+
+
+def _int_at_least(low: int):
+    return _where(int, lambda x: x >= low, f"an integer >= {low}")
+
+
+_exponent = _where(_finite_float, lambda x: x > 1.0, "a number > 1")
+_offset = _where(_finite_float, lambda x: x >= 0.0, "a number >= 0")
+
+
+class _ListOf:
+    """Parser of a comma-separated list whose entries parse with item and
+    which, whole, check accepts; it keeps the raw string in the config."""
+
+    def __init__(self, item, check=lambda values: None):
+        self.item, self.check = item, check
+
+    def entries(self, raw: str) -> list:
+        values = [self.item(tok) for tok in raw.split(",") if tok.strip() != ""]
+        self.check(values)
+        return values
+
+    def __call__(self, raw: str) -> str:
+        self.entries(raw)
+        return raw
 
 
 # section -> key -> (parser, default); this is the complete documented key set
@@ -97,17 +105,16 @@ SCHEMA = {
         "n": (_int_at_least(g.MIN_NODES), 16),
     },
     "params": {
-        "p": (_finite_float, 2.0),
-        "mu": (_finite_float, 0.1),
+        "p": (_exponent, 2.0),
+        "mu": (_offset, 0.1),
         "structure": (str, "full"),
     },
     "solver": {
         "eta": (_finite_float, 0.0),
         "outer_tol": (_finite_float, 1e-9),
         "max_outer": (_int_at_least(0), 200),
-        "inner_tol": (_unit_fraction, 0.0),
+        "inner_tol": (_where(_finite_float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"), 0.0),
         "inner_maxiter": (_int_at_least(1), 20000),
-        "line_search": (_parse_bool, True),
         "continuation": (_parse_bool, False),
         "cont_eta0": (_finite_float, 1e-1),
         "cont_mu0": (_finite_float, 1e-1),
@@ -119,7 +126,7 @@ SCHEMA = {
     "rhs": {
         "id": (str, "smooth-trig"),
         "amplitude": (_finite_float, 1.0),
-        "seed": (int, 0),
+        "seed": (_int_at_least(0), 0),
     },
     "output": {
         "directory": (str, "out"),
@@ -129,19 +136,20 @@ SCHEMA = {
         "n": (_int_at_least(g.MIN_NODES), 16),
         "constants_n": (_int_at_least(g.MIN_NODES), 32),
         "samples": (_int_at_least(0), 12),
-        "seed": (int, 0),
+        "seed": (_int_at_least(0), 0),
         "checks": (str, ",".join(ESTIMATE_NAMES)),
-        "q_list": (_q_list, "2,4,6,8,10,12,16"),
+        "q_list": (_ListOf(_finite_float, audit_mod.check_q_list), "2,4,6,8,10,12,16"),
     },
     "reconstruct": {
         "residual_tol": (_finite_float, 1e-6),
         "delta": (_finite_float, 1e-14),
     },
     "sweep": {
-        "p_values": (str, "1.2,1.5,1.8"),
-        "mu_values": (str, "0,0.1"),
-        "amplitudes": (_positive_list, "0.25,1,4,16"),
-        "seeds": (str, "101,102,103"),
+        "p_values": (_ListOf(_exponent), "1.2,1.5,1.8"),
+        "mu_values": (_ListOf(_offset), "0,0.1"),
+        "amplitudes": (_ListOf(_where(_finite_float, lambda x: x > 0.0, "a number > 0")),
+                       "0.25,1,4,16"),
+        "seeds": (_ListOf(_int_at_least(0)), "101,102,103"),
         "workers": (_int_at_least(1), 1),
     },
 }
@@ -151,16 +159,20 @@ def default_config() -> dict:
     return {sec: {k: v for k, (_, v) in keys.items()} for sec, keys in SCHEMA.items()}
 
 
+def _parsed(section: str, key: str, raw: str, parse):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} ({exc})") from exc
+
+
 def _set_value(config: dict, section: str, key: str, raw: str) -> None:
     if section not in SCHEMA:
         raise ConfigError(f"unknown config section [{section}]")
     if key not in SCHEMA[section]:
         raise ConfigError(f"unknown config key [{section}] {key}")
     parser, _ = SCHEMA[section][key]
-    try:
-        config[section][key] = parser(raw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} ({exc})") from exc
+    config[section][key] = _parsed(section, key, raw, parser)
 
 
 def load_config(path=None, overrides=()) -> dict:
@@ -183,22 +195,16 @@ def load_config(path=None, overrides=()) -> dict:
     return config
 
 
-def _float_list(raw: str, where: str) -> list:
-    try:
-        return [_finite_float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {where}: {raw!r}") from exc
-
-
-def _int_list(raw: str, where: str) -> list:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {where}: {raw!r}") from exc
+def _entries(config: dict, section: str, key: str) -> list:
+    """The values of a list key, parsed again: a config built in code has not
+    been through load_config."""
+    parser, _ = SCHEMA[section][key]
+    return _parsed(section, key, config[section][key], parser.entries)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="ascii")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)  # no bare NaN
+    path.write_text(text + "\n", encoding="ascii")
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -272,7 +278,6 @@ def _build_solve_config(config: dict) -> solver.SolveConfig:
             max_outer=sc["max_outer"],
             inner_tol=sc["inner_tol"],
             inner_maxiter=sc["inner_maxiter"],
-            line_search=sc["line_search"],
             continuation=cont,
         )
     except ValueError as exc:
@@ -304,14 +309,8 @@ def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
         },
     }
     if "csv" in formats:
-        hist = [
-            [i, e, gp, w22]
-            for i, (e, gp, w22) in enumerate(
-                zip(rep.energy_history, rep.norm_history["grad_p"], rep.norm_history["w22"])
-            )
-        ]
-        _write_csv(outdir / "tables" / "solve_history.csv",
-                   ["iteration", "energy", "grad_p", "w22"], hist)
+        _write_csv(outdir / "tables" / "solve_history.csv", ["iteration", "residual", "energy"],
+                   [[i, *row] for i, row in enumerate(zip(rep.residual_history, rep.energy_history))])
         if rep.continuation_trace:
             _write_csv(
                 outdir / "tables" / "continuation_trace.csv",
@@ -327,7 +326,7 @@ def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
 def _cmd_constants(config: dict, outdir: Path, formats: set) -> dict:
     domain = _build_domain_checked(config)
     ac = config["audit"]
-    q_list = _float_list(ac["q_list"], "[audit] q_list")
+    q_list = _entries(config, "audit", "q_list")
     table, c4, fit, c6 = audit_mod.estimate_constants(domain, q_list, ac["samples"], ac["seed"])
     adm = audit_mod.admissible_p(q_list, c4, table)
     report = {
@@ -357,7 +356,7 @@ def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
         samples=ac["samples"],
         seed=ac["seed"],
         check_names=names,
-        q_list=tuple(_float_list(ac["q_list"], "[audit] q_list")),
+        q_list=tuple(_entries(config, "audit", "q_list")),
     )
     report = {"command": "audit", "config": config}
     report.update(rep.to_dict())
@@ -499,23 +498,14 @@ def _pool_size(workers: int, points: int) -> int:
 
 def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     sc = config["sweep"]
-    p_values = _float_list(sc["p_values"], "[sweep] p_values")
-    mu_values = _float_list(sc["mu_values"], "[sweep] mu_values")
-    amplitudes = _float_list(sc["amplitudes"], "[sweep] amplitudes")
-    seeds = _int_list(sc["seeds"], "[sweep] seeds")
-    _build_domain_checked(config)
+    p_values, mu_values, amplitudes, seeds = (
+        _entries(config, "sweep", key) for key in ("p_values", "mu_values", "amplitudes", "seeds"))
+    _build_problem(config)  # the [domain], [params] structure and [rhs] checks
     kind = config["domain"]["kind"]
     n = config["domain"]["n"]
     structure = config["params"]["structure"]
     rhs_id = config["rhs"]["id"]
     cfg = _build_solve_config(config)
-    for p in p_values:
-        for mu in mu_values:
-            try:
-                ConstitutiveParams(p=p, mu=mu, structure=structure)
-            except ValueError as exc:
-                raise ConfigError(f"invalid value in [sweep]: {exc}") from exc
-
     points = []
     idx = 0
     for p in p_values:

@@ -1,7 +1,11 @@
 """Nonlinear solves of -eta*Lap(v) - div[(mu+|Gv|)^(p-2) Gv] = f.
 
 Outer loop: Kacanov (frozen secant coefficient) iteration, guarded by a
-backtracking line search on the discrete energy.  Inner loop: one
+backtracking line search on the discrete energy.  Each iterate's one-sided
+gradient pair is built once: the line search builds it for the trial it
+accepts, and the next step's coefficient is computed from that same pair.
+Only the residual and energy histories are recorded per step; norms of the
+solution are the caller's, on the converged field.  Inner loop: one
 preconditioned conjugate gradient solve, _pcg, on flat vectors over the free
 DOFs (nodes on no Dirichlet face), with the frozen operator, its eta term
 included, assembled once per outer step as a CSR matrix over those DOFs.
@@ -132,9 +136,7 @@ class SolveConfig:
     max_outer: int = 200
     inner_tol: float = 0.0  # 0 selects the residual-proportional forcing rule
     inner_maxiter: int = 20000
-    coefficient_floor: float = COEFFICIENT_FLOOR
     continuation: Optional[ContinuationPath] = None
-    line_search: bool = True
 
     def __post_init__(self):
         if self.eta < 0.0:
@@ -150,7 +152,6 @@ class SolveReport:
     converged: bool = False
     residual_history: list = dataclass_field(default_factory=list)
     energy_history: list = dataclass_field(default_factory=list)
-    norm_history: dict = dataclass_field(default_factory=lambda: {"grad_p": [], "w22": []})
     continuation_trace: list = dataclass_field(default_factory=list)
     floor_active: bool = False
     inner_iterations: int = 0
@@ -163,7 +164,6 @@ class SolveReport:
             "converged": self.converged,
             "residual_history": [float(r) for r in self.residual_history],
             "energy_history": [float(e) for e in self.energy_history],
-            "norm_history": {k: [float(x) for x in v] for k, v in self.norm_history.items()},
             "continuation_trace": [
                 {"eta": e, "mu": m, "d2_norm": d, "step_change": c}
                 for (e, m, d, c) in self.continuation_trace
@@ -198,23 +198,25 @@ def coefficient_field(
     domain: DomainSpec,
     params: ConstitutiveParams,
     v: np.ndarray,
-    floor: float = COEFFICIENT_FLOOR,
+    pair=None,
 ):
     """Secant coefficients (mu + |G v|)^(p-2) on the one-sided gradient pair.
 
-    The floor clips mu + |G v| from below before the power is taken; for
-    p < 2 that caps the coefficient at floor^(p-2) on the (measure-zero)
-    critical set of v.  Returns (a_plus, a_minus, floor_was_active); the two
-    arrays are zero where the corresponding one-sided gradient has no face.
+    pair is v's one-sided gradient pair, _pm_gradients(domain, v), when the
+    caller already holds it.  COEFFICIENT_FLOOR clips mu + |G v| from below
+    before the power is taken; for p < 2 that caps the coefficient at
+    COEFFICIENT_FLOOR^(p-2) on the (measure-zero) critical set of v.  Returns
+    (a_plus, a_minus, floor_was_active); the two arrays are zero where the
+    corresponding one-sided gradient has no face.
     """
-    gp, gm = _pm_gradients(domain, v)
+    gp, gm = _pm_gradients(domain, v) if pair is None else pair
     mp, mm = g.face_masks(domain)
     out = []
     active = False
     for grad, mask in ((gp, mp), (gm, mm)):
         base = params.mu + _structure_mag(grad, params.structure)
-        active |= bool(np.any((base < floor) & (mask > 0.0)))
-        np.maximum(base, floor, out=base)
+        active |= bool(np.any((base < COEFFICIENT_FLOOR) & (mask > 0.0)))
+        np.maximum(base, COEFFICIENT_FLOOR, out=base)
         out.append(base ** (params.p - 2.0) * mask)
     return out[0], out[1], active
 
@@ -487,18 +489,19 @@ def stress_potential(t: np.ndarray, p: float, mu: float) -> np.ndarray:
     return (b**p - mu**p) / p - mu * (b ** (p - 1.0) - mu ** (p - 1.0)) / (p - 1.0)
 
 
-def energy(v: np.ndarray, problem: ProblemSpec, eta: float) -> float:
+def energy(v: np.ndarray, problem: ProblemSpec, eta: float, pair=None) -> float:
     """Discrete energy eta/2 ||grad v||^2 + h^3 sum Phi(|G v|) - h^3 sum f.v.
 
     Every gradient square is the average of its forward- and backward-
     difference realisations, which makes this the exact antiderivative of the
     solver's discrete operator: residual zeros and energy minima coincide.
     The eta term always uses the full gradient because the regularising
-    operator is -eta*Lap for both structures.
+    operator is -eta*Lap for both structures.  pair is v's one-sided gradient
+    pair, as in coefficient_field.
     """
     domain, params = problem.domain, problem.params
     f = problem.forcing()
-    gp, gm = _pm_gradients(domain, v)
+    gp, gm = _pm_gradients(domain, v) if pair is None else pair
     mp, mm = g.face_masks(domain)
     quad = 0.0
     if eta != 0.0:
@@ -544,19 +547,17 @@ def solve(
         v = apply_constraints(domain, initial.copy())
 
     b = _free(domain, f)
-    e_next = None  # energy of the accepted line-search trial, if evaluated
+    pair = _pm_gradients(domain, v)
+    e_cur = energy(v, problem, config.eta, pair)
     for it in range(config.max_outer + 1):
-        a_plus, a_minus, hit = coefficient_field(domain, params, v, config.coefficient_floor)
+        a_plus, a_minus, hit = coefficient_field(domain, params, v, pair)
         report.floor_active |= hit
         matrix = _frozen_matrix(domain, a_plus, a_minus, config.eta, params.structure)
         x = _free(domain, v)
         res = _require_finite(_l2(b - matrix @ x) / fnorm, "relative residual")
-        e_cur = _require_finite(energy(v, problem, config.eta) if e_next is None else e_next,
-                                "energy")
+        _require_finite(e_cur, "energy")
         report.residual_history.append(res)
         report.energy_history.append(e_cur)
-        report.norm_history["grad_p"].append(g.norm(domain, g.gradient(domain, v), q=params.p))
-        report.norm_history["w22"].append(g.norm(domain, v, q=2.0, sobolev_level=2))
         report.iterations = it
         report.final_residual = res
         if res <= config.outer_tol:
@@ -573,20 +574,20 @@ def solve(
                            inner_rtol, config.inner_maxiter)
         report.inner_iterations += inner_it
         delta = _field(domain, x) - v
+        # the Kacanov step is a strict descent direction of the (exactly
+        # consistent) energy; the slack only absorbs float cancellation.  After
+        # 40 halvings the step is taken regardless.
+        slack = 1e-12 * (1.0 + abs(e_cur))
         theta = 1.0
-        e_next = None
-        if config.line_search:
-            # the Kacanov step is a strict descent direction of the (exactly
-            # consistent) energy; the slack only absorbs float cancellation
-            slack = 1e-12 * (1.0 + abs(e_cur))
-            for _ in range(40):
-                e_try = energy(v + theta * delta, problem, config.eta)
-                if e_try <= e_cur + slack:
-                    e_next = e_try
-                    break
-                theta *= 0.5
-                report.backtracks += 1
-        v = v + theta * delta
+        for halvings in range(41):
+            trial = v + theta * delta
+            pair = _pm_gradients(domain, trial)
+            e_next = energy(trial, problem, config.eta, pair)
+            if e_next <= e_cur + slack or halvings == 40:
+                break
+            theta *= 0.5
+            report.backtracks += 1
+        v, e_cur = trial, e_next
     raise NoConvergence(
         f"no convergence in {config.max_outer} outer iterations "
         f"(relative residual {report.final_residual:.3e})",
@@ -616,7 +617,7 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
         cfg_j = replace(config, eta=eta_j, continuation=None)
         v_new, report = solve(prob_j, cfg_j, initial=v)
         d2n = g.norm(problem.domain, g.second_derivatives(problem.domain, v_new))
-        delta = float("nan")
+        delta = None  # no step change for the path's first solve
         if v is not None:
             delta = g.norm(problem.domain, v_new - v, q=2.0, sobolev_level=1)
             # ignore growth below solver noise so roundoff-scale jitter in a

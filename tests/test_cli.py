@@ -68,7 +68,7 @@ def test_unknown_section_and_key_are_named():
     with pytest.raises(ConfigError, match=r"\[domain\] n"):
         cli._set_value(config, "domain", "n", "twelve")
     with pytest.raises(ConfigError, match="boolean"):
-        cli._set_value(config, "solver", "line_search", "maybe")
+        cli._set_value(config, "solver", "continuation", "maybe")
 
 
 def test_malformed_set_flag():
@@ -117,13 +117,23 @@ def test_section_is_named_in_value_errors(tmp_path, capsys):
     ("audit.samples=-2", r"\[audit\] samples"),
     ("sweep.amplitudes=-1", r"\[sweep\] amplitudes"),
     ("sweep.amplitudes=1,0", r"\[sweep\] amplitudes"),
+    ("rhs.seed=-1", r"\[rhs\] seed"),
+    ("audit.seed=-1", r"\[audit\] seed"),
+    ("sweep.seeds=-5", r"\[sweep\] seeds"),
+    ("sweep.seeds=101,1.5", r"\[sweep\] seeds"),
+    ("sweep.p_values=1.5,1", r"\[sweep\] p_values"),
+    ("sweep.p_values=nan", r"\[sweep\] p_values"),
+    ("sweep.mu_values=-1", r"\[sweep\] mu_values"),
+    ("sweep.mu_values=0,inf", r"\[sweep\] mu_values"),
+    ("params.mu=-0.5", r"\[params\] mu"),
 ])
 def test_non_finite_and_negative_values_rejected_at_parse(tmp_path, capsys, override, key):
     # mu = nan used to run at the default p = 2 (nan**0 == 1) and report a
     # converged solve; eta = nan and amplitude = inf spun in the inner solve.
     # inner_tol = -1 ran PCG into a loss of definiteness, amplitudes = -1
     # ended in a traceback, and audit.n = 4 failed without the key only after
-    # the constants pass
+    # the constants pass; a negative seed ended in numpy's traceback, and a
+    # bad sweep p or mu was found only after the output directory was made
     with pytest.raises(ConfigError, match=key):
         cli.load_config(None, [override])
     assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
@@ -189,7 +199,7 @@ def test_solve_writes_report_tables_manifest(tmp_path):
     assert set(report["norms"]) == {"grad_p", "w22", "max"}
 
     lines = (out / "tables" / "solve_history.csv").read_text().splitlines()
-    assert lines[0] == "iteration,energy,grad_p,w22"
+    assert lines[0] == "iteration,residual,energy"
     assert len(lines) == report["result"]["iterations"] + 2
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -238,6 +248,15 @@ def test_continuation_solve_writes_trace(tmp_path):
     lines = (out / "tables" / "continuation_trace.csv").read_text().splitlines()
     assert lines[0] == "step,eta,mu,d2_norm,step_change"
     assert len(lines) >= 5
+
+    def reject(token):
+        raise ValueError(f"report.json is not strict JSON: {token}")
+
+    # the first step has no step change: null, where a bare NaN used to be
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    trace = report["result"]["continuation_trace"]
+    assert trace[0]["step_change"] is None
+    assert all(row["step_change"] > 0.0 for row in trace[1:])
 
 
 # ---------------------------------------------------------------- constants and audit

@@ -181,9 +181,7 @@ def test_subsolve_raises_ill_conditioned_on_budget():
 def test_coefficient_floor_activation():
     dom = grid.build_domain("dirichlet_box", 8)
     params = ConstitutiveParams(p=1.5, mu=0.0)
-    a_plus, a_minus, active = solver.coefficient_field(
-        dom, params, dom.zeros((3,)), solver.COEFFICIENT_FLOOR
-    )
+    a_plus, a_minus, active = solver.coefficient_field(dom, params, dom.zeros((3,)))
     assert active
     top = solver.COEFFICIENT_FLOOR ** (params.p - 2.0)
     assert set(np.unique(a_plus)) == {0.0, top}
@@ -191,9 +189,7 @@ def test_coefficient_floor_activation():
 
     rng = np.random.default_rng(3)
     v = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
-    _, _, active = solver.coefficient_field(
-        dom, ConstitutiveParams(p=1.5, mu=0.5), v, solver.COEFFICIENT_FLOOR
-    )
+    _, _, active = solver.coefficient_field(dom, ConstitutiveParams(p=1.5, mu=0.5), v)
     assert not active
 
 
@@ -383,13 +379,10 @@ def test_histories_track_descent():
     n = report.iterations + 1
     assert len(report.residual_history) == n
     assert len(report.energy_history) == n
-    assert len(report.norm_history["grad_p"]) == n
-    assert len(report.norm_history["w22"]) == n
     res = report.residual_history
     assert all(r2 <= r1 * (1.0 + 1e-12) for r1, r2 in zip(res, res[1:]))
     ene = report.energy_history
     assert all(e2 <= e1 + 1e-10 * (1.0 + abs(e1)) for e1, e2 in zip(ene, ene[1:]))
-    assert np.all(np.isfinite(report.norm_history["w22"]))
 
 
 def test_report_round_trips_through_json():
@@ -419,24 +412,52 @@ def test_solve_raises_on_non_finite_residual_or_energy(mu, eta):
         solver.solve(make_problem(dom, 2.0, mu), solver.SolveConfig(eta=eta))
 
 
-@pytest.mark.parametrize("line_search", [True, False])
-def test_accepted_trial_energy_is_carried_forward(monkeypatch, line_search):
+def test_accepted_trial_energy_is_carried_forward(monkeypatch):
     dom = grid.build_domain("dirichlet_box", 12)
     prob = make_problem(dom, 1.5, 0.1)
-    calls = []
-    energy = solver.energy
+    calls = {"energy": 0, "pair": 0}
+    energy, pm_gradients = solver.energy, solver._pm_gradients
 
     def counting_energy(*args):
-        calls.append(1)
+        calls["energy"] += 1
         return energy(*args)
 
+    def counting_pm_gradients(*args):
+        calls["pair"] += 1
+        return pm_gradients(*args)
+
     monkeypatch.setattr(solver, "energy", counting_energy)
-    cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10, line_search=line_search)
+    monkeypatch.setattr(solver, "_pm_gradients", counting_pm_gradients)
+    cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10)
     v, report = solver.solve(prob, cfg)
     assert report.iterations > 3
-    # one evaluation per accepted trial or rejected backtrack, plus the start
-    assert len(calls) == 1 + report.iterations + report.backtracks
+    # one evaluation per accepted trial or rejected backtrack, plus the start;
+    # the accepted trial's gradient pair also gives the next coefficient
+    assert calls["energy"] == calls["pair"] == 1 + report.iterations + report.backtracks
     assert report.energy_history[-1] == energy(v, prob, cfg.eta)
+
+
+def test_exhausted_line_search_takes_the_smallest_step(monkeypatch):
+    # every trial is rejected: after 40 halvings the step ends on the 41st
+    # trial, v + 2^-40 delta, and the next step starts from it
+    dom = grid.build_domain("dirichlet_box", 8)
+    prob = make_problem(dom, 1.5, 0.1)
+    energy, trials = solver.energy, []
+
+    def rejecting_energy(v, *args):
+        trials.append(v)
+        return energy(v, *args) + (1.0 if len(trials) > 1 else 0.0)
+
+    monkeypatch.setattr(solver, "energy", rejecting_energy)
+    with pytest.raises(NoConvergence) as exc:
+        solver.solve(prob, solver.SolveConfig(eta=1e-3, max_outer=1))
+    assert exc.value.report.backtracks == 40
+    start, full, last = trials[0], trials[1], trials[-1]
+    assert len(trials) == 1 + 41 and exc.value.field is last
+    # v + 2^-40 delta keeps only a few digits of the step; a factor 2 either
+    # way would be 2^-39 or 2^-41
+    ratio = np.linalg.norm(last - start) / np.linalg.norm(2.0**-40 * (full - start))
+    assert ratio == pytest.approx(1.0, rel=0.1)
 
 
 # ---------------------------------------------------------------- energy
