@@ -175,8 +175,38 @@ def _set_value(config: dict, section: str, key: str, raw: str) -> None:
     config[section][key] = _parsed(section, key, raw, parser)
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError, AttributeError):
+        return None
+
+
+def _check_grid_memory(config: dict) -> None:
+    """Reject a grid size whose estimated peak exceeds physical memory.
+
+    domain.n is estimated under [params] structure; the audit keys under the
+    symmetric law, the larger figure, since the audit solves both laws.
+    """
+    memory = _physical_memory()
+    if memory is None:
+        return
+    for section, key, structure in (("domain", "n", config["params"]["structure"]),
+                                    ("audit", "n", "symmetric"),
+                                    ("audit", "constants_n", "symmetric")):
+        n = config[section][key]
+        need = solver.peak_memory_estimate(n, structure)
+        if need > memory:
+            raise ConfigError(
+                f"invalid value for [{section}] {key}: {n} (a run at this size is "
+                f"estimated to need {need / 2**30:.1f} GiB, more than the "
+                f"{memory / 2**30:.1f} GiB of physical memory)")
+
+
 def load_config(path=None, overrides=()) -> dict:
-    """Materialize the full config: defaults, then file, then --set flags."""
+    """Materialize the full config: defaults, then file, then --set flags;
+    grid sizes too large for the machine's memory are rejected."""
     config = default_config()
     if path is not None:
         cp = configparser.ConfigParser()
@@ -192,6 +222,7 @@ def load_config(path=None, overrides=()) -> dict:
         dotted, raw = item.split("=", 1)
         section, key = dotted.split(".", 1)
         _set_value(config, section, key, raw)
+    _check_grid_memory(config)
     return config
 
 

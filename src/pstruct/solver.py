@@ -10,13 +10,18 @@ preconditioned conjugate gradient solve, _pcg, on flat vectors over the free
 DOFs (nodes on no Dirichlet face), with the frozen operator, its eta term
 included, assembled once per outer step as a CSR matrix over those DOFs.
 _pcg is the only place an inner solve fails, and it fails at once: NonFinite
-on a NaN, IllConditioned on p.Ap <= 0 or on reaching its iteration cap.  The
+on a NaN, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner or the
+operator lost definiteness) or on reaching its iteration cap.  For p >= 2 the
 preconditioner is one exact inversion of the constant-coefficient 7-point
-Laplacian per iteration (poisson module).  For p < 2 the secant coefficient is
-unbounded as |Gv| -> 0, and that inversion is scaled symmetrically by it,
-s P^{-1}(s r) with s = c^{-1/2} and c = eta + (a+ + a-)/2 per free node.  For
-p >= 2 the plain inversion is used: it is exact at p = 2, and at p > 2 the
-scaled one cost more outer iterations than it saved inner ones.
+Laplacian per iteration (poisson module): it is exact at p = 2, and at p > 2 a
+coefficient-scaled one cost more outer iterations than it saved inner ones.
+For p < 2 the secant coefficient is unbounded as |Gv| -> 0.  Each solve
+starts with the inversion scaled symmetrically by it, s P^{-1}(s r) with
+s = c^{-1/2} and c = eta + (a+ + a-)/2 per free node.  Its iteration count
+still grows with the coefficient contrast, so the first inner solve that needs
+more than MULTIGRID_AFTER iterations switches the solve, for its remaining
+outer steps, to one Galerkin V-cycle per iteration (multigrid module), built
+on each step's assembled matrix, whose count does not grow with the contrast.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -81,9 +86,32 @@ __all__ = [
     "energy",
     "stress_potential",
     "frozen_linear_solve",
+    "peak_memory_estimate",
 ]
 
 COEFFICIENT_FLOOR = 1e-12
+
+# A p < 2 solve switches from the scaled Poisson preconditioner to multigrid,
+# for its remaining outer steps, after the first inner solve that needs more
+# than this many PCG iterations.  Measured at n = 16 on the full law's box at
+# a coefficient contrast of 82, in units of one Poisson apply (0.70 ms): a
+# scaled-Poisson PCG iteration costs 1.5 with its matrix product and dot
+# products, a hierarchy set-up 2.8 and a multigrid PCG iteration 1.9.  A
+# multigrid inner solve there takes 2 iterations at rtol 0.1 (5 at 1e-4, 9 at
+# 1e-8, against 11, 29 and 55 scaled), so it costs 2.8 + 2 * 1.9 = 6.6 units,
+# and a scaled inner solve of more than 6.6 / 1.5 = 4.4 iterations costs more.
+# The inner tolerance tightens with the outer residual, so a solve's later
+# inner solves need more iterations than its earlier ones: the switch is
+# sticky.  The p < 2 solves of perfbench's estimate-audit and parallel-sweep
+# workloads need at most 4 and never switch.
+MULTIGRID_AFTER = 4
+
+# Peak resident bytes per grid node of a solve: the assembly's build (sorted
+# triplets of the law and of the eta term), the gradient pairs and the
+# multigrid levels.  ru_maxrss over a fresh process on the box at n = 16, 24
+# and 32 gave 2.4-2.9 KB on the full law and 5.8-7.1 KB on the symmetric law,
+# growing slowly with n; these are rounded up.
+PEAK_BYTES_PER_NODE = {"full": 4096, "symmetric": 8192}
 
 
 @dataclass(frozen=True)
@@ -156,9 +184,11 @@ class SolveReport:
     floor_active: bool = False
     inner_iterations: int = 0
     backtracks: int = 0
+    # a continuation's sums over its path: solves, outer, inner, backtracks
+    path_totals: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "converged": self.converged,
@@ -172,6 +202,9 @@ class SolveReport:
             "inner_iterations": self.inner_iterations,
             "backtracks": self.backtracks,
         }
+        if self.path_totals is not None:
+            out["path_totals"] = dict(self.path_totals)
+        return out
 
 
 def _l2(arr: np.ndarray) -> float:
@@ -380,6 +413,13 @@ def _frozen_matrix(
     return sp.csr_matrix((data, asm.indices, asm.indptr), shape=(asm.size, asm.size))
 
 
+def peak_memory_estimate(n: int, structure: str) -> int:
+    """Estimated peak bytes of a solve on an n-grid under the law structure
+    (any other structure gets the larger figure), from (n + 1)^3 nodes."""
+    per_node = PEAK_BYTES_PER_NODE.get(structure, max(PEAK_BYTES_PER_NODE.values()))
+    return per_node * (n + 1) ** 3
+
+
 def _free(domain: DomainSpec, w: np.ndarray) -> np.ndarray:
     """The free-DOF vector of a full-grid field, in _frozen_matrix's order."""
     return w[(slice(None),) + domain.interior].ravel()
@@ -414,9 +454,10 @@ def _pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
     returns (x, iterations).
 
     Every inner-solve failure is raised here, at once: a non-finite residual
-    norm or p.Ap raises NonFinite; p.Ap <= 0 (the operator is not positive
-    definite) and reaching maxiter raise IllConditioned carrying the best
-    relative residual and the best iterate as a full-grid field.
+    norm, r.z or p.Ap raises NonFinite; r.z <= 0 (the preconditioner is not
+    positive definite), p.Ap <= 0 (the operator is not) and reaching maxiter
+    raise IllConditioned carrying the best relative residual and the best
+    iterate as a full-grid field.
     """
     bnorm = _l2(b)
     if bnorm == 0.0:
@@ -426,15 +467,20 @@ def _pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
     rn = _require_finite(_l2(r), "PCG residual norm")
     if rn <= rtol * bnorm:
         return x, 0
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
     best = (rn, x.copy())
     failure = f"inner solve cap {maxiter} reached (target {rtol:.3e})"
+    p = None
     for k in range(1, maxiter + 1):
-        ap = apply_a(p)
+        z = precondition(r)
         # np.sum, not a @ b: on long vectors the latter is BLAS's threaded
         # ddot, whose threads oversubscribe the CPUs of a sweep's workers
+        rz_new = _require_finite(float(np.sum(r * z)), "PCG r.z")
+        if rz_new <= 0.0:
+            failure = f"preconditioner lost definiteness at PCG iteration {k}: r.z = {rz_new:.3e}"
+            break
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
+        ap = apply_a(p)
         denom = _require_finite(float(np.sum(p * ap)), "PCG p.Ap")
         if denom <= 0.0:
             failure = f"loss of definiteness at PCG iteration {k}: p.Ap = {denom:.3e}"
@@ -447,10 +493,6 @@ def _pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
             best = (rn, x.copy())
         if rn <= rtol * bnorm:
             return x, k
-        z = precondition(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     rel = best[0] / bnorm
     raise IllConditioned(f"{failure}, best relative residual {rel:.3e}", achieved=rel,
                          field=_field(domain, best[1]))
@@ -549,6 +591,7 @@ def solve(
     b = _free(domain, f)
     pair = _pm_gradients(domain, v)
     e_cur = energy(v, problem, config.eta, pair)
+    multigrid = False
     for it in range(config.max_outer + 1):
         a_plus, a_minus, hit = coefficient_field(domain, params, v, pair)
         report.floor_active |= hit
@@ -566,13 +609,19 @@ def solve(
         if it == config.max_outer:
             break
         inner_rtol = config.inner_tol or max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
-        scale = 1.0
-        if params.p < 2.0:  # the unbounded coefficient the plain Poisson inverse misses
+        if multigrid:
+            from . import multigrid as mg  # loaded by the first solve that switches
+
+            precondition = mg.VCycle(domain, matrix, params.structure)
+        elif params.p < 2.0:  # the unbounded coefficient the plain Poisson inverse misses
             c = config.eta + 0.5 * (a_plus[domain.interior] + a_minus[domain.interior])
-            scale = np.tile(c.ravel() ** -0.5, 3)
-        x, inner_it = _pcg(domain, matrix.dot, _preconditioner(domain, scale), b, x,
-                           inner_rtol, config.inner_maxiter)
+            precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
+        else:
+            precondition = _preconditioner(domain)
+        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x, inner_rtol,
+                           config.inner_maxiter)
         report.inner_iterations += inner_it
+        multigrid |= params.p < 2.0 and inner_it > MULTIGRID_AFTER
         delta = _field(domain, x) - v
         # the Kacanov step is a strict descent direction of the (exactly
         # consistent) energy; the slack only absorbs float cancellation.  After
@@ -601,6 +650,9 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
 
     Records (eta, mu, ||D^2 v||_2, ||v_j - v_{j-1}||_{1,2}) per step and
     raises PathStalled when the step change grows three times in a row.
+    Returns the last step's field and SolveReport, with the trace and the
+    path's summed solves, outer and inner iterations and backtracks
+    (path_totals) attached.
     """
     path = config.continuation
     if path is None:
@@ -610,12 +662,17 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
     trace = []
     growth = 0
     report = None
+    totals = dict.fromkeys(("solves", "outer", "inner", "backtracks"), 0)
     prev_delta = None
     for eta_j, mu_j in zip(path.eta_path, path.mu_path):
         params_j = replace(problem.params, mu=mu_j)
         prob_j = ProblemSpec(problem.domain, params_j, rhs=problem.rhs, f=f)
         cfg_j = replace(config, eta=eta_j, continuation=None)
         v_new, report = solve(prob_j, cfg_j, initial=v)
+        totals["solves"] += 1
+        totals["outer"] += report.iterations
+        totals["inner"] += report.inner_iterations
+        totals["backtracks"] += report.backtracks
         d2n = g.norm(problem.domain, g.second_derivatives(problem.domain, v_new))
         delta = None  # no step change for the path's first solve
         if v is not None:
@@ -637,6 +694,7 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
         trace.append((eta_j, mu_j, d2n, delta))
         v = v_new
     report.continuation_trace = trace
+    report.path_totals = totals
     return v, report
 
 

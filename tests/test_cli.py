@@ -95,6 +95,37 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error:"), overrides
 
 
+@pytest.mark.parametrize("key", ["domain.n", "audit.n", "audit.constants_n"])
+def test_grid_larger_than_memory_is_rejected_at_parse_time(tmp_path, capsys, monkeypatch, key):
+    # 10^5 nodes per axis would need petabytes: the estimate rejects it
+    # before any grid exists, so the check allocates nothing
+    built = []
+    monkeypatch.setattr(cli, "build_domain", lambda *a: built.append(a))
+    monkeypatch.setattr(cli, "_build_domain_checked", lambda *a: built.append(a))
+    with pytest.raises(ConfigError, match=re.escape(f"[{key.split('.')[0]}] {key.split('.')[1]}")):
+        cli.load_config(None, [f"{key}=100000"])
+    assert run_cli("solve", *base_args(tmp_path, "--set", f"{key}=100000")) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert built == []
+
+
+def test_grid_ceiling_follows_the_law_and_the_memory(monkeypatch):
+    from pstruct import solver
+
+    full, symmetric = (solver.peak_memory_estimate(32, law) for law in ("full", "symmetric"))
+    assert 0 < full < symmetric
+    # the defaults fit; a machine with the memory of one full-law n = 32 solve
+    # takes that solve but not the symmetric one, nor the audit's defaults
+    cli.load_config(None, [])
+    monkeypatch.setattr(cli, "_physical_memory", lambda: full)
+    cli.load_config(None, ["domain.n=32", "audit.n=8", "audit.constants_n=8"])
+    with pytest.raises(ConfigError, match=r"\[domain\] n"):
+        cli.load_config(None, ["domain.n=32", "params.structure=symmetric",
+                               "audit.n=8", "audit.constants_n=8"])
+    with pytest.raises(ConfigError, match=r"\[audit\] constants_n"):
+        cli.load_config(None, ["domain.n=8", "audit.n=8"])
+
+
 def test_section_is_named_in_value_errors(tmp_path, capsys):
     run_cli("solve", *base_args(tmp_path, "--set", "params.p=0.5"))
     assert "[params]" in capsys.readouterr().err
@@ -257,6 +288,35 @@ def test_continuation_solve_writes_trace(tmp_path):
     trace = report["result"]["continuation_trace"]
     assert trace[0]["step_change"] is None
     assert all(row["step_change"] > 0.0 for row in trace[1:])
+
+
+def test_continuation_report_sums_the_path(tmp_path, monkeypatch):
+    # result.iterations and inner_iterations are the last step's; path_totals
+    # sums every step's solve, which a direct solve's report does not carry
+    steps = []
+    solve = cli.solver.solve
+
+    def recording_solve(problem, config, initial=None):
+        v, rep = solve(problem, config, initial)
+        steps.append(rep)
+        return v, rep
+
+    monkeypatch.setattr(cli.solver, "solve", recording_solve)
+    args = base_args(tmp_path, "--set", "params.p=1.5", "--set", "solver.continuation=true",
+                     "--set", "solver.cont_eta_floor=1e-3", "--set", "solver.cont_mu_floor=1e-3")
+    assert run_cli("solve", *args) == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert result["path_totals"] == {
+        "solves": len(steps),
+        "outer": sum(rep.iterations for rep in steps),
+        "inner": sum(rep.inner_iterations for rep in steps),
+        "backtracks": sum(rep.backtracks for rep in steps),
+    }
+    assert len(steps) == len(result["continuation_trace"]) > 1
+    assert result["path_totals"]["outer"] > result["iterations"]
+    monkeypatch.setattr(cli.solver, "solve", solve)
+    assert run_cli("solve", *base_args(tmp_path, "--set", "params.p=1.5")) == 0
+    assert "path_totals" not in json.loads((tmp_path / "out" / "report.json").read_text())["result"]
 
 
 # ---------------------------------------------------------------- constants and audit

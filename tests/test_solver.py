@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from pstruct import grid, problems, solver
+from pstruct import grid, multigrid, problems, solver
 from pstruct.constitutive import ConstitutiveParams
 from pstruct.errors import (
     CoefficientBlowup,
@@ -237,6 +237,39 @@ def test_pcg_raises_on_loss_of_definiteness():
     assert np.array_equal(exc.value.field, dom.zeros((3,)))
 
 
+def test_pcg_raises_when_the_preconditioner_loses_definiteness():
+    dom = grid.build_domain("dirichlet_box", 8)
+    b = solver._free(dom, problems.rhs_sample(dom, "smooth-trig", 1.0))
+    a = solver._frozen_matrix(dom, *grid.face_masks(dom), 0.0, "full")
+    calls = []
+
+    def negative(r):
+        calls.append(1)
+        return -r
+
+    with pytest.raises(IllConditioned, match="preconditioner lost definiteness at PCG "
+                                             "iteration 1") as exc:
+        solver._pcg(dom, a.dot, negative, b, np.zeros_like(b), 1e-10, 50)
+    assert len(calls) == 1
+    assert exc.value.achieved == 1.0
+    assert np.array_equal(exc.value.field, dom.zeros((3,)))
+
+    # definite for two iterations, then not: the best iterate comes back
+    def turns_indefinite(r):
+        calls.append(1)
+        return r if len(calls) <= 2 else -r
+
+    calls.clear()
+    with pytest.raises(IllConditioned, match="iteration 3") as exc:
+        solver._pcg(dom, a.dot, turns_indefinite, b, np.zeros_like(b), 1e-10, 50)
+    assert 0.0 < exc.value.achieved < 1.0
+    assert np.linalg.norm(b - a @ solver._free(dom, exc.value.field)) == pytest.approx(
+        exc.value.achieved * np.linalg.norm(b), rel=1e-12)
+    with pytest.raises(NonFinite, match="r.z"):
+        solver._pcg(dom, a.dot, lambda r: np.full_like(r, np.nan), b, np.zeros_like(b),
+                    1e-10, 50)
+
+
 def _one_sided(dom, f, axis, forward):
     """Loop reference: forward or backward difference, 0 where no face."""
     ax = f.ndim - 3 + axis
@@ -337,9 +370,11 @@ def test_reference_operator_builds_no_assembly():
     solver._assembly.cache_clear()
     dom = grid.build_domain("dirichlet_box", 8)
     prob = make_problem(dom, 1.5, 0.1, structure="symmetric")
+    multigrid.interpolations.cache_clear()
     v = solver.residual(dom, prob.params, 1e-2, prob.forcing(), prob.forcing())
     solver.apply_linear(dom, np.ones(dom.shape), 0.0, "full", v)
     assert solver._assembly.cache_info().currsize == 0
+    assert multigrid.interpolations.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- nonlinear solve
@@ -612,9 +647,10 @@ def test_frozen_updates_approach_base_as_eps_shrinks():
 
 
 def test_coefficient_scaling_cuts_pcg_iterations(monkeypatch):
-    """Short p = 1.4, mu = 0 continuation: the coefficient-scaled
-    preconditioner needs fewer PCG iterations than the plain Poisson inverse,
-    and every step still meets the outer tolerance."""
+    """Short p = 1.4, mu = 0 continuation: the solver's p < 2 preconditioner
+    (coefficient-scaled Poisson inverse, multigrid once an inner solve needs
+    more than MULTIGRID_AFTER iterations) needs fewer PCG iterations than the
+    plain Poisson inverse, and every step still meets the outer tolerance."""
     dom = grid.build_domain("dirichlet_box", 8)
     prob = make_problem(dom, 1.4, 0.0)
     path = solver.ContinuationPath.geometric(
@@ -664,3 +700,82 @@ def test_p3_manufactured_counts_unchanged(eta):
         solver.SolveConfig(eta=eta, outer_tol=1e-9, max_outer=300),
     )
     assert (report.iterations, report.inner_iterations) == (177, 187)
+
+
+def _recording_pcg(monkeypatch):
+    """Record (multigrid?, iterations) of every inner solve."""
+    record, pcg = [], solver._pcg
+
+    def recording(domain, apply_a, precondition, b, x0, rtol, maxiter):
+        x, k = pcg(domain, apply_a, precondition, b, x0, rtol, maxiter)
+        record.append((isinstance(precondition, multigrid.VCycle), k))
+        return x, k
+
+    monkeypatch.setattr(solver, "_pcg", recording)
+    return record
+
+
+def _counting_vcycles(monkeypatch):
+    built = []
+
+    class Counting(multigrid.VCycle):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(multigrid, "VCycle", Counting)
+    return built
+
+
+def test_multigrid_switch_is_sticky_after_an_inner_solve_over_k(monkeypatch):
+    # on this solve the first scaled inner solve needs 3 <= K iterations and
+    # the second more than K; from then on every step builds a V-cycle
+    record, built = _recording_pcg(monkeypatch), _counting_vcycles(monkeypatch)
+    dom = grid.build_domain("dirichlet_box", 9)
+    prob = make_problem(dom, 1.3, 0.0)
+    cfg = solver.SolveConfig(eta=1e-2, outer_tol=1e-10, max_outer=300)
+    v, report = solver.solve(prob, cfg)
+    assert report.converged
+    first = next(i for i, (_, k) in enumerate(record) if k > solver.MULTIGRID_AFTER)
+    assert first >= 1
+    assert not any(used for used, _ in record[: first + 1])
+    assert all(used for used, _ in record[first + 1:])
+    assert len(built) == len(record) - first - 1 > 0
+    assert sum(k for _, k in record) == report.inner_iterations
+    r = solver.residual(dom, prob.params, cfg.eta, v, prob.forcing())
+    assert np.linalg.norm(r) <= cfg.outer_tol * np.linalg.norm(prob.forcing())
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_p_at_least_2_builds_no_hierarchy(monkeypatch, p):
+    # the plain Poisson inverse serves p >= 2 even when an inner solve is long
+    record, built = _recording_pcg(monkeypatch), _counting_vcycles(monkeypatch)
+    multigrid.interpolations.cache_clear()
+    dom = grid.build_domain("dirichlet_box", 8)
+    cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10, max_outer=300, inner_tol=1e-10)
+    _, report = solver.solve(make_problem(dom, p, 0.0 if p == 2.0 else 0.1), cfg)
+    assert report.converged
+    assert max(k for _, k in record) > (solver.MULTIGRID_AFTER if p > 2.0 else 0)
+    assert built == []
+    assert multigrid.interpolations.cache_info().currsize == 0
+
+
+def test_periodic_joint_path_beats_the_plain_poisson_inverse(monkeypatch):
+    """The joint (eta, mu) tail on the slab at odd n: the coefficient-scaled
+    inverse alone took more PCG iterations here than the plain one (575
+    against 542); with the switch to multigrid the path takes fewer."""
+    dom = grid.build_domain("cubic_periodic", 9)
+    prob = make_problem(dom, 1.5, 0.0)
+    path = solver.ContinuationPath.geometric(eta0=2e-6, mu0=2e-6, eta_floor=1e-8, mu_floor=1e-8)
+    cfg = solver.SolveConfig(continuation=path)
+    pcg = solver._pcg
+
+    def plain_pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
+        return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, rtol, maxiter)
+
+    _, ours = solver.continuation_solve(prob, cfg)
+    monkeypatch.setattr(solver, "_pcg", plain_pcg)
+    _, plain = solver.continuation_solve(prob, cfg)
+    assert ours.path_totals["solves"] == plain.path_totals["solves"] == len(path.eta_path)
+    assert abs(ours.path_totals["outer"] - plain.path_totals["outer"]) <= 2
+    assert ours.path_totals["inner"] < 0.75 * plain.path_totals["inner"]
