@@ -175,38 +175,56 @@ def _set_value(config: dict, section: str, key: str, raw: str) -> None:
     config[section][key] = _parsed(section, key, raw, parser)
 
 
-def _physical_memory():
-    """Bytes of physical memory, or None where the platform does not say."""
+# the cgroup memory limits of a process's group (v2, then v1), where mounted;
+# v2 writes "max" and v1 a near-2^63 figure when there is no limit
+CGROUP_MEMORY_LIMITS = (Path("/sys/fs/cgroup/memory.max"),
+                        Path("/sys/fs/cgroup/memory/memory.limit_in_bytes"))
+
+# the grid-size keys each command reads, with the law its estimate takes:
+# None for [params] structure; the audit solves both laws, so the larger
+GRID_KEYS = {
+    "solve": (("domain", "n", None),),
+    "reconstruct": (("domain", "n", None),),
+    "sweep": (("domain", "n", None),),
+    "constants": (("domain", "n", None),),
+    "audit": (("audit", "n", "symmetric"), ("audit", "constants_n", "symmetric")),
+}
+
+
+def _available_memory():
+    """Bytes of memory a run may use: the smaller of physical memory and the
+    cgroup limit, of those that can be read; None where neither can."""
+    limits = []
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (ValueError, OSError, AttributeError):
-        return None
+        pass
+    for path in CGROUP_MEMORY_LIMITS:
+        try:
+            limits.append(int(path.read_text()))
+        except (OSError, ValueError):  # not mounted, or no limit ("max")
+            pass
+    return min(limits, default=None)
 
 
-def _check_grid_memory(config: dict) -> None:
-    """Reject a grid size whose estimated peak exceeds physical memory.
-
-    domain.n is estimated under [params] structure; the audit keys under the
-    symmetric law, the larger figure, since the audit solves both laws.
-    """
-    memory = _physical_memory()
+def _check_grid_memory(command: str, config: dict) -> None:
+    """Reject a grid size the command reads whose estimated peak exceeds the
+    memory available."""
+    memory = _available_memory()
     if memory is None:
         return
-    for section, key, structure in (("domain", "n", config["params"]["structure"]),
-                                    ("audit", "n", "symmetric"),
-                                    ("audit", "constants_n", "symmetric")):
+    for section, key, structure in GRID_KEYS[command]:
         n = config[section][key]
-        need = solver.peak_memory_estimate(n, structure)
+        need = solver.peak_memory_estimate(n, structure or config["params"]["structure"])
         if need > memory:
             raise ConfigError(
                 f"invalid value for [{section}] {key}: {n} (a run at this size is "
                 f"estimated to need {need / 2**30:.1f} GiB, more than the "
-                f"{memory / 2**30:.1f} GiB of physical memory)")
+                f"{memory / 2**30:.1f} GiB of memory available)")
 
 
 def load_config(path=None, overrides=()) -> dict:
-    """Materialize the full config: defaults, then file, then --set flags;
-    grid sizes too large for the machine's memory are rejected."""
+    """Materialize the full config: defaults, then file, then --set flags."""
     config = default_config()
     if path is not None:
         cp = configparser.ConfigParser()
@@ -222,7 +240,6 @@ def load_config(path=None, overrides=()) -> dict:
         dotted, raw = item.split("=", 1)
         section, key = dotted.split(".", 1)
         _set_value(config, section, key, raw)
-    _check_grid_memory(config)
     return config
 
 
@@ -593,6 +610,7 @@ def run(command: str, config: dict, strict: bool = False) -> int:
     """Execute a command; returns the process exit status."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
+    _check_grid_memory(command, config)
     outdir = Path(config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     formats = {tok.strip() for tok in config["output"]["formats"].split(",") if tok.strip()}

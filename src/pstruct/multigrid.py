@@ -33,7 +33,8 @@ the cycle is symmetric positive definite.
 Laws.  The full law's matrix is three equal uncoupled blocks, so the cycle
 runs on the scalar block with the three components as the columns of an
 (N, 3) block; the symmetric law's coupled matrix uses kron(I3, P) and one
-column.  Both run the same cycle.
+column.  Both run the same cycle; the solver switches to it on the full law
+only (see solver.MULTIGRID_AFTER).
 """
 
 from __future__ import annotations

@@ -18,10 +18,12 @@ coefficient-scaled one cost more outer iterations than it saved inner ones.
 For p < 2 the secant coefficient is unbounded as |Gv| -> 0.  Each solve
 starts with the inversion scaled symmetrically by it, s P^{-1}(s r) with
 s = c^{-1/2} and c = eta + (a+ + a-)/2 per free node.  Its iteration count
-still grows with the coefficient contrast, so the first inner solve that needs
-more than MULTIGRID_AFTER iterations switches the solve, for its remaining
-outer steps, to one Galerkin V-cycle per iteration (multigrid module), built
-on each step's assembled matrix, whose count does not grow with the contrast.
+still grows with the coefficient contrast, so on the full law the first inner
+solve that needs more than MULTIGRID_AFTER iterations switches the solve, for
+its remaining outer steps, to one Galerkin V-cycle per iteration (multigrid
+module), built on each step's assembled matrix, whose count does not grow
+with the contrast.  The symmetric law keeps the scaled inversion (the comment
+on MULTIGRID_AFTER says why).
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -58,6 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import grid as g
+from . import multigrid
 from .constitutive import ConstitutiveParams
 from .errors import (
     CoefficientBlowup,
@@ -91,19 +94,29 @@ __all__ = [
 
 COEFFICIENT_FLOOR = 1e-12
 
-# A p < 2 solve switches from the scaled Poisson preconditioner to multigrid,
-# for its remaining outer steps, after the first inner solve that needs more
-# than this many PCG iterations.  Measured at n = 16 on the full law's box at
-# a coefficient contrast of 82, in units of one Poisson apply (0.70 ms): a
-# scaled-Poisson PCG iteration costs 1.5 with its matrix product and dot
-# products, a hierarchy set-up 2.8 and a multigrid PCG iteration 1.9.  A
-# multigrid inner solve there takes 2 iterations at rtol 0.1 (5 at 1e-4, 9 at
-# 1e-8, against 11, 29 and 55 scaled), so it costs 2.8 + 2 * 1.9 = 6.6 units,
-# and a scaled inner solve of more than 6.6 / 1.5 = 4.4 iterations costs more.
-# The inner tolerance tightens with the outer residual, so a solve's later
-# inner solves need more iterations than its earlier ones: the switch is
-# sticky.  The p < 2 solves of perfbench's estimate-audit and parallel-sweep
-# workloads need at most 4 and never switch.
+# A full-law p < 2 solve switches from the scaled Poisson preconditioner to
+# multigrid, for its remaining outer steps, after the first inner solve that
+# needs more than this many PCG iterations.  Measured at n = 16 on the full
+# law's box at a coefficient contrast of 82, in units of one Poisson apply
+# (0.70 ms): a scaled-Poisson PCG iteration costs 1.5 with its matrix product
+# and dot products, a hierarchy set-up 2.8 and a multigrid PCG iteration 1.9.
+# A multigrid inner solve there takes 2 iterations at rtol 0.1 (5 at 1e-4, 9
+# at 1e-8, against 11, 29 and 55 scaled), so it costs 2.8 + 2 * 1.9 = 6.6
+# units, and a scaled inner solve of more than 6.6 / 1.5 = 4.4 iterations
+# costs more (4.3 on the slab).  The inner tolerance tightens with the outer
+# residual, so a solve's later inner solves need more iterations than its
+# earlier ones: the switch is sticky.  The p < 2 solves of perfbench's
+# estimate-audit and parallel-sweep workloads need at most 4 and never switch.
+#
+# Symmetric-law solves never switch.  Their coupled Galerkin products make a
+# set-up cost 13 (box) and 22 (slab) units at n = 16 and a multigrid
+# iteration 2.5-3.0, so one inner solve breaks even only above 13 and 21
+# scaled iterations.  And the rule's premise fails there: on p = 1.4 and 1.3,
+# mu = 0 continuations from eta = 1e-2 on the n = 16 box, all but 4 and 6 of
+# 351 and 468 inner solves take 3-4 scaled iterations (the rest up to 114),
+# so a switch, after 4 or after 21, adds a set-up to steps that were cheap
+# and raised the CPU time by 9-18 %.  (On the slab at p = 1.4 a switch after 21 saved
+# 9 %; no benchmark workload runs a symmetric p < 2 solve.)
 MULTIGRID_AFTER = 4
 
 # Peak resident bytes per grid node of a solve: the assembly's build (sorted
@@ -591,7 +604,7 @@ def solve(
     b = _free(domain, f)
     pair = _pm_gradients(domain, v)
     e_cur = energy(v, problem, config.eta, pair)
-    multigrid = False
+    use_multigrid = False
     for it in range(config.max_outer + 1):
         a_plus, a_minus, hit = coefficient_field(domain, params, v, pair)
         report.floor_active |= hit
@@ -609,10 +622,8 @@ def solve(
         if it == config.max_outer:
             break
         inner_rtol = config.inner_tol or max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
-        if multigrid:
-            from . import multigrid as mg  # loaded by the first solve that switches
-
-            precondition = mg.VCycle(domain, matrix, params.structure)
+        if use_multigrid:
+            precondition = multigrid.VCycle(domain, matrix, params.structure)
         elif params.p < 2.0:  # the unbounded coefficient the plain Poisson inverse misses
             c = config.eta + 0.5 * (a_plus[domain.interior] + a_minus[domain.interior])
             precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
@@ -621,7 +632,8 @@ def solve(
         x, inner_it = _pcg(domain, matrix.dot, precondition, b, x, inner_rtol,
                            config.inner_maxiter)
         report.inner_iterations += inner_it
-        multigrid |= params.p < 2.0 and inner_it > MULTIGRID_AFTER
+        use_multigrid |= (params.p < 2.0 and params.structure == "full"
+                          and inner_it > MULTIGRID_AFTER)
         delta = _field(domain, x) - v
         # the Kacanov step is a strict descent direction of the (exactly
         # consistent) energy; the slack only absorbs float cancellation.  After

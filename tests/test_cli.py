@@ -95,18 +95,43 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error:"), overrides
 
 
-@pytest.mark.parametrize("key", ["domain.n", "audit.n", "audit.constants_n"])
-def test_grid_larger_than_memory_is_rejected_at_parse_time(tmp_path, capsys, monkeypatch, key):
+@pytest.mark.parametrize("command, key", [("solve", "domain.n"), ("audit", "audit.n"),
+                                          ("audit", "audit.constants_n")])
+def test_grid_larger_than_memory_is_rejected_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             command, key):
     # 10^5 nodes per axis would need petabytes: the estimate rejects it
-    # before any grid exists, so the check allocates nothing
+    # before any grid or output exists, so the check allocates nothing
     built = []
     monkeypatch.setattr(cli, "build_domain", lambda *a: built.append(a))
     monkeypatch.setattr(cli, "_build_domain_checked", lambda *a: built.append(a))
-    with pytest.raises(ConfigError, match=re.escape(f"[{key.split('.')[0]}] {key.split('.')[1]}")):
-        cli.load_config(None, [f"{key}=100000"])
-    assert run_cli("solve", *base_args(tmp_path, "--set", f"{key}=100000")) == 2
-    assert "physical memory" in capsys.readouterr().err
+    monkeypatch.setattr(cli.audit_mod, "run_audit", lambda **kw: built.append(kw))
+    assert run_cli(command, *base_args(tmp_path, "--set", f"{key}=100000")) == 2
+    section, name = key.split(".")
+    err = capsys.readouterr().err
+    assert f"[{section}] {name}" in err and "memory available" in err
     assert built == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_check_reads_only_the_command_s_keys(tmp_path, monkeypatch):
+    # an oversize audit key, say from a shared config file, does not stop a
+    # solve, which never reads it; an oversize domain.n does not stop an audit
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2**30)
+    config = cli.load_config(None, ["audit.n=100000", "audit.constants_n=100000",
+                                    "domain.n=100000"])
+    with pytest.raises(ConfigError, match=r"\[domain\] n"):
+        cli._check_grid_memory("solve", config)
+    with pytest.raises(ConfigError, match=r"\[audit\] n"):
+        cli._check_grid_memory("audit", config)
+    assert run_cli("solve", *base_args(tmp_path, "--set", "audit.n=100000",
+                                       "--set", "audit.constants_n=100000")) == 0
+    calls = []
+    monkeypatch.setattr(cli.audit_mod, "run_audit", lambda **kw: calls.append(kw) or 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.run("audit", cli.load_config(None, [f"output.directory={tmp_path / 'a'}",
+                                                "domain.n=100000", "audit.n=8",
+                                                "audit.constants_n=8"]))
+    assert len(calls) == 1
 
 
 def test_grid_ceiling_follows_the_law_and_the_memory(monkeypatch):
@@ -114,16 +139,33 @@ def test_grid_ceiling_follows_the_law_and_the_memory(monkeypatch):
 
     full, symmetric = (solver.peak_memory_estimate(32, law) for law in ("full", "symmetric"))
     assert 0 < full < symmetric
-    # the defaults fit; a machine with the memory of one full-law n = 32 solve
-    # takes that solve but not the symmetric one, nor the audit's defaults
-    cli.load_config(None, [])
-    monkeypatch.setattr(cli, "_physical_memory", lambda: full)
-    cli.load_config(None, ["domain.n=32", "audit.n=8", "audit.constants_n=8"])
+    config = cli.load_config(None, ["domain.n=32", "audit.n=8", "audit.constants_n=8"])
+    for command in cli.COMMANDS:
+        cli._check_grid_memory(command, config)  # the defaults fit
+    # memory for one full-law n = 32 solve takes that solve but not the
+    # symmetric one, nor the audit's defaults
+    monkeypatch.setattr(cli, "_available_memory", lambda: full)
+    cli._check_grid_memory("solve", config)
+    config["params"]["structure"] = "symmetric"
     with pytest.raises(ConfigError, match=r"\[domain\] n"):
-        cli.load_config(None, ["domain.n=32", "params.structure=symmetric",
-                               "audit.n=8", "audit.constants_n=8"])
+        cli._check_grid_memory("solve", config)
     with pytest.raises(ConfigError, match=r"\[audit\] constants_n"):
-        cli.load_config(None, ["domain.n=8", "audit.n=8"])
+        cli._check_grid_memory("audit", cli.load_config(None, ["audit.n=8"]))
+
+
+def test_available_memory_takes_the_cgroup_limit(tmp_path, monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit, unlimited = tmp_path / "memory.max", tmp_path / "unlimited"
+    unlimited.write_text("max\n")
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS", (unlimited, tmp_path / "absent"))
+    assert cli._available_memory() == physical
+    limit.write_text(f"{2**30}\n")
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS", (limit, unlimited))
+    assert cli._available_memory() == 2**30
+    # a 1 GiB limit stops a symmetric n = 64 solve that physical memory takes
+    config = cli.load_config(None, ["domain.n=64", "params.structure=symmetric"])
+    with pytest.raises(ConfigError, match="1.0 GiB of memory available"):
+        cli._check_grid_memory("solve", config)
 
 
 def test_section_is_named_in_value_errors(tmp_path, capsys):

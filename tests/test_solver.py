@@ -646,11 +646,10 @@ def test_frozen_updates_approach_base_as_eps_shrinks():
 # ---------------------------------------------------------------- preconditioner
 
 
-def test_coefficient_scaling_cuts_pcg_iterations(monkeypatch):
-    """Short p = 1.4, mu = 0 continuation: the solver's p < 2 preconditioner
-    (coefficient-scaled Poisson inverse, multigrid once an inner solve needs
-    more than MULTIGRID_AFTER iterations) needs fewer PCG iterations than the
-    plain Poisson inverse, and every step still meets the outer tolerance."""
+def _short_p14_path(monkeypatch, preconditioner):
+    """(problem, eta, v, report) of each step of a short p = 1.4, mu = 0
+    continuation on the 8^3 box whose inner solves use the "plain" Poisson
+    inverse, the "scaled" one alone, or the solver's own choice ("switch")."""
     dom = grid.build_domain("dirichlet_box", 8)
     prob = make_problem(dom, 1.4, 0.0)
     path = solver.ContinuationPath.geometric(
@@ -658,33 +657,48 @@ def test_coefficient_scaling_cuts_pcg_iterations(monkeypatch):
     )
     cfg = solver.SolveConfig(outer_tol=1e-10, max_outer=300, continuation=path)
     pcg, solve = solver._pcg, solver.solve
+    steps = []
 
-    def run(scaled):
-        steps = []
+    def plain_pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
+        return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, rtol, maxiter)
 
-        def maybe_unscaled_pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
-            if not scaled:
-                precondition = solver._preconditioner(domain)
-            return pcg(domain, apply_a, precondition, b, x0, rtol, maxiter)
+    def recording_solve(problem, config, initial=None):
+        v, report = solve(problem, config, initial)
+        steps.append((problem, config.eta, v, report))
+        return v, report
 
-        def recording_solve(problem, config, initial=None):
-            v, report = solve(problem, config, initial)
-            steps.append((problem, config.eta, v, report))
-            return v, report
-
-        monkeypatch.setattr(solver, "_pcg", maybe_unscaled_pcg)
-        monkeypatch.setattr(solver, "solve", recording_solve)
+    with monkeypatch.context() as m:
+        if preconditioner != "switch":  # no inner solve builds a V-cycle
+            m.setattr(solver, "MULTIGRID_AFTER", 10**9)
+        if preconditioner == "plain":
+            m.setattr(solver, "_pcg", plain_pcg)
+        m.setattr(solver, "solve", recording_solve)
         solver.continuation_solve(prob, cfg)
-        return steps
-
-    scaled, plain = run(True), run(False)
-    assert len(scaled) == len(plain) == len(path.eta_path)
-    total = sum(rep.inner_iterations for *_, rep in scaled)
-    assert total < sum(rep.inner_iterations for *_, rep in plain)
+    assert len(steps) == len(path.eta_path)
     f = prob.forcing()
-    for problem, eta, v, _ in scaled:
+    for problem, eta, v, _ in steps:
         r = solver.residual(dom, problem.params, eta, v, f)
         assert np.linalg.norm(r) <= cfg.outer_tol * np.linalg.norm(f)
+    return steps
+
+
+def _inner_total(steps):
+    return sum(rep.inner_iterations for *_, rep in steps)
+
+
+def test_coefficient_scaling_cuts_pcg_iterations(monkeypatch):
+    """The coefficient-scaled preconditioner by itself, with the switch to
+    multigrid off, needs fewer PCG iterations than the plain Poisson inverse,
+    and every step still meets the outer tolerance."""
+    scaled = _short_p14_path(monkeypatch, "scaled")
+    assert _inner_total(scaled) < _inner_total(_short_p14_path(monkeypatch, "plain"))
+
+
+def test_multigrid_switch_cuts_pcg_iterations_further(monkeypatch):
+    """On the same path the switch to multigrid needs fewer PCG iterations
+    than the scaled inverse alone, and every step meets the tolerance."""
+    switch = _short_p14_path(monkeypatch, "switch")
+    assert _inner_total(switch) < _inner_total(_short_p14_path(monkeypatch, "scaled"))
 
 
 @pytest.mark.parametrize("eta", [0.0, 1e-3])
@@ -746,16 +760,18 @@ def test_multigrid_switch_is_sticky_after_an_inner_solve_over_k(monkeypatch):
     assert np.linalg.norm(r) <= cfg.outer_tol * np.linalg.norm(prob.forcing())
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_p_at_least_2_builds_no_hierarchy(monkeypatch, p):
-    # the plain Poisson inverse serves p >= 2 even when an inner solve is long
+@pytest.mark.parametrize("p, structure", [(2.0, "full"), (3.0, "full"), (1.4, "symmetric")])
+def test_no_hierarchy_at_p_at_least_2_or_on_the_symmetric_law(monkeypatch, p, structure):
+    # the plain Poisson inverse serves p >= 2 and the scaled one the symmetric
+    # law's p < 2, even when an inner solve is long
     record, built = _recording_pcg(monkeypatch), _counting_vcycles(monkeypatch)
     multigrid.interpolations.cache_clear()
     dom = grid.build_domain("dirichlet_box", 8)
     cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10, max_outer=300, inner_tol=1e-10)
-    _, report = solver.solve(make_problem(dom, p, 0.0 if p == 2.0 else 0.1), cfg)
+    mu = 0.0 if p <= 2.0 else 0.1
+    _, report = solver.solve(make_problem(dom, p, mu, structure=structure), cfg)
     assert report.converged
-    assert max(k for _, k in record) > (solver.MULTIGRID_AFTER if p > 2.0 else 0)
+    assert max(k for _, k in record) > (0 if p == 2.0 else solver.MULTIGRID_AFTER)
     assert built == []
     assert multigrid.interpolations.cache_info().currsize == 0
 
