@@ -187,7 +187,21 @@ ESTIMATE_NAMES = ("p_gt_2_W22", "p_lt_2_W22", "p_lt_2_W2q", "tangential_fe1")
 
 _MU_SWEEP = (1.0, 0.5, 0.25, 0.125)
 
-_ESTIMATE_DEFAULTS = {
+# the sweep every estimate check solves: forcing shapes and amplitudes, eta
+# at mu = 0 (eta = 0 otherwise), outer tolerance and cap; a check passes only
+# while the implied constant's spread over the amplitudes stays below the limit
+RHS_ID = "band-limited-random"
+SHAPE_SEEDS = (101, 102, 103)
+AMPLITUDES = (0.25, 1.0, 4.0, 16.0)
+ETA_FLOOR = 1e-8
+OUTER_TOL = 1e-8
+MAX_OUTER = 300
+SPREAD_LIMIT = 10.0
+
+# node pairs the Hölder probe samples
+HOLDER_PAIRS = 20000
+
+ESTIMATE_SPECS = {
     # p > 2, symmetric law on the periodic slab: second derivatives against
     # the plain L2 forcing norm, constant degrading like mu^-(p-2)
     "p_gt_2_W22": dict(p=2.5, mu_values=_MU_SWEEP, structure="symmetric",
@@ -245,28 +259,20 @@ def rhs_value(domain: DomainSpec, f: np.ndarray, kind: str, q: float, p: float) 
     raise ValueError(kind)
 
 
-def verify_estimate(
-    name: str,
-    n: int = 16,
-    amplitudes=(0.25, 1.0, 4.0, 16.0),
-    shape_seeds=(101, 102, 103),
-    rhs_id: str = "band-limited-random",
-    eta_floor: float = 1e-8,
-    outer_tol: float = 1e-8,
-    **overrides,
-) -> dict:
+def verify_estimate(name: str, n: int = 16, **overrides) -> dict:
     """Sweep amplitudes (and mu where applicable) and judge the estimate.
 
-    PASS requires the implied constant's spread over the amplitude sweep to
-    stay below 10 for every (shape, mu), and, for the p > 2 checks, the
+    overrides replace entries of the estimate's ESTIMATE_SPECS entry.  PASS
+    requires the implied constant's spread over the amplitude sweep to stay
+    below SPREAD_LIMIT for every (shape, mu), and, for the p > 2 checks, the
     log-log slope of the constant against mu (taken at the smallest
     amplitude, where the mu-dominated regime is cleanest) to sit within 0.3
     of -(p-2).  Off-hypothesis configurations still run but the verdict is
     "informational".
     """
-    if name not in _ESTIMATE_DEFAULTS:
+    if name not in ESTIMATE_SPECS:
         raise ValueError(f"unknown estimate {name!r}, expected one of {ESTIMATE_NAMES}")
-    spec = dict(_ESTIMATE_DEFAULTS[name])
+    spec = dict(ESTIMATE_SPECS[name])
     spec.update(overrides)
     p, q = float(spec["p"]), float(spec["q"])
     mu_values = tuple(float(m) for m in spec["mu_values"])
@@ -275,18 +281,18 @@ def verify_estimate(
     domain = build_domain(kind, n)
 
     rows = []
-    for seed in shape_seeds:
+    for seed in SHAPE_SEEDS:
         for mu in mu_values:
             params = ConstitutiveParams(p=p, mu=mu, structure=structure)
-            eta = 0.0 if mu > 0.0 else eta_floor
+            eta = 0.0 if mu > 0.0 else ETA_FLOOR
             prev = None
             prev_amp = None
-            for amp in sorted(amplitudes):
-                f = rhs_sample(domain, rhs_id, amp, seed)
+            for amp in sorted(AMPLITUDES):
+                f = rhs_sample(domain, RHS_ID, amp, seed)
                 initial = None
                 if prev is not None:
                     initial = prev * (amp / prev_amp) ** (1.0 / (p - 1.0))
-                cfg = solver.SolveConfig(eta=eta, outer_tol=outer_tol, max_outer=300)
+                cfg = solver.SolveConfig(eta=eta, outer_tol=OUTER_TOL, max_outer=MAX_OUTER)
                 u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg, initial=initial)
                 prev, prev_amp = u, amp
                 lhs = lhs_value(domain, u, spec["lhs"], q)
@@ -294,7 +300,7 @@ def verify_estimate(
                 rows.append(
                     {
                         "name": name, "kind": kind, "n": n, "p": p, "mu": mu,
-                        "structure": structure, "q": q, "rhs_id": rhs_id,
+                        "structure": structure, "q": q, "rhs_id": RHS_ID,
                         "seed": int(seed), "amplitude": float(amp), "eta": eta,
                         "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
                         "iterations": rep.iterations,
@@ -303,19 +309,19 @@ def verify_estimate(
                 )
 
     spreads = {}
-    for seed in shape_seeds:
+    for seed in SHAPE_SEEDS:
         for mu in mu_values:
             rs = [r["ratio"] for r in rows if r["seed"] == seed and r["mu"] == mu]
             spreads[f"seed={seed},mu={mu:g}"] = max(rs) / min(rs)
     max_spread = max(spreads.values())
-    spread_ok = max_spread < 10.0
+    spread_ok = max_spread < SPREAD_LIMIT
 
     mu_fit = None
     fit_ok = True
     if spec["mu_fit"] and len(mu_values) >= 2:
-        amp0 = min(amplitudes)
+        amp0 = min(AMPLITUDES)
         slopes = []
-        for seed in shape_seeds:
+        for seed in SHAPE_SEEDS:
             pts = [(r["mu"], r["ratio"]) for r in rows
                    if r["seed"] == seed and r["amplitude"] == amp0]
             lm = np.log([m for m, _ in pts])
@@ -337,10 +343,10 @@ def verify_estimate(
         "coverage_reasons": reasons,
         "inputs": {
             "n": n, "p": p, "q": q, "mu_values": list(mu_values),
-            "structure": structure, "kind": kind, "rhs_id": rhs_id,
-            "amplitudes": [float(a) for a in amplitudes],
-            "shape_seeds": [int(s) for s in shape_seeds],
-            "eta_floor": eta_floor, "outer_tol": outer_tol,
+            "structure": structure, "kind": kind, "rhs_id": RHS_ID,
+            "amplitudes": [float(a) for a in AMPLITUDES],
+            "shape_seeds": [int(s) for s in SHAPE_SEEDS],
+            "eta_floor": ETA_FLOOR, "outer_tol": OUTER_TOL,
         },
         "rows": rows,
         "spreads": spreads,
@@ -384,14 +390,9 @@ def tangential_energy_check(domain: DomainSpec, u: np.ndarray, p: float, mu: flo
     return {"I_s": total_i, "J_s": total_j, "ratio": ratio, "per_axis": per_axis}
 
 
-def holder_seminorm(
-    domain: DomainSpec,
-    grad_u: np.ndarray,
-    alpha: float,
-    pair_budget: int = 20000,
-    seed: int = 0,
-) -> float:
-    """Max of |grad u(x) - grad u(y)| / |x-y|^alpha over sampled node pairs.
+def holder_seminorm(domain: DomainSpec, grad_u: np.ndarray, alpha: float, seed: int = 0) -> float:
+    """Max of |grad u(x) - grad u(y)| / |x-y|^alpha over HOLDER_PAIRS sampled
+    node pairs.
 
     Pairs closer than 2h are discarded so stencil noise cannot dominate;
     distances on periodic axes use the minimal image.
@@ -400,9 +401,9 @@ def holder_seminorm(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     rng = np.random.default_rng(seed)
     shape = domain.shape
-    ia = [rng.integers(0, s, size=pair_budget) for s in shape]
-    ib = [rng.integers(0, s, size=pair_budget) for s in shape]
-    dist_sq = np.zeros(pair_budget)
+    ia = [rng.integers(0, s, size=HOLDER_PAIRS) for s in shape]
+    ib = [rng.integers(0, s, size=HOLDER_PAIRS) for s in shape]
+    dist_sq = np.zeros(HOLDER_PAIRS)
     for ax in range(3):
         d = (ia[ax] - ib[ax]) * domain.h
         if domain.is_periodic(ax):
@@ -484,7 +485,7 @@ def run_audit(
     hbox = build_domain(DIRICHLET_BOX, n)
     f = rhs_sample(hbox, "smooth-trig", 1.0, 0)
     params = ConstitutiveParams(p=hp, mu=0.0, structure="full")
-    cfg = solver.SolveConfig(eta=1e-8, outer_tol=1e-8, max_outer=300)
+    cfg = solver.SolveConfig(eta=ETA_FLOOR, outer_tol=OUTER_TOL, max_outer=MAX_OUTER)
     u_h, _ = solver.solve(ProblemSpec(hbox, params, f=f), cfg)
     alpha = 1.0 - 3.0 / hq
     semi = holder_seminorm(hbox, g.gradient(hbox, u_h, "full"), alpha, seed=seed)

@@ -33,10 +33,10 @@ from . import grid as g
 from . import reconstruct as reconstruct_mod
 from . import solver
 from .audit import ESTIMATE_NAMES
-from .constitutive import ConstitutiveParams
+from .constitutive import FULL_GRADIENT, SYMMETRIC_GRADIENT, ConstitutiveParams
 from .errors import ConfigError, PStructError
 from .grid import build_domain, save_field
-from .problems import SEEDED_RHS_IDS, ProblemSpec, RhsSpec, rhs_sample
+from .problems import RHS_IDS, SEEDED_RHS_IDS, ProblemSpec, RhsSpec, rhs_sample
 
 COMMANDS = ("solve", "audit", "constants", "reconstruct", "sweep")
 
@@ -77,8 +77,13 @@ def _int_at_least(low: int):
     return _where(int, lambda x: x >= low, f"an integer >= {low}")
 
 
+def _one_of(*choices):
+    return _where(str, lambda x: x in choices, "one of " + ", ".join(choices))
+
+
 _exponent = _where(_finite_float, lambda x: x > 1.0, "a number > 1")
 _offset = _where(_finite_float, lambda x: x >= 0.0, "a number >= 0")
+_positive = _where(_finite_float, lambda x: x > 0.0, "a number > 0")
 
 
 class _ListOf:
@@ -101,31 +106,29 @@ class _ListOf:
 # section -> key -> (parser, default); this is the complete documented key set
 SCHEMA = {
     "domain": {
-        "kind": (str, "cubic_periodic"),
+        "kind": (_one_of(g.CUBIC_PERIODIC, g.DIRICHLET_BOX), g.CUBIC_PERIODIC),
         "n": (_int_at_least(g.MIN_NODES), 16),
     },
     "params": {
         "p": (_exponent, 2.0),
         "mu": (_offset, 0.1),
-        "structure": (str, "full"),
+        "structure": (_one_of(FULL_GRADIENT, SYMMETRIC_GRADIENT), FULL_GRADIENT),
     },
     "solver": {
-        "eta": (_finite_float, 0.0),
-        "outer_tol": (_finite_float, 1e-9),
+        "eta": (_offset, 0.0),
+        "outer_tol": (_positive, 1e-9),
         "max_outer": (_int_at_least(0), 200),
-        "inner_tol": (_where(_finite_float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"), 0.0),
-        "inner_maxiter": (_int_at_least(1), 20000),
         "continuation": (_parse_bool, False),
-        "cont_eta0": (_finite_float, 1e-1),
-        "cont_mu0": (_finite_float, 1e-1),
-        "cont_ratio": (_finite_float, 0.5),
-        "cont_eta_floor": (_finite_float, 1e-8),
-        "cont_mu_floor": (_finite_float, 1e-8),
-        "cont_max_steps": (int, 60),
+        "cont_eta0": (_offset, 1e-1),
+        "cont_mu0": (_offset, 1e-1),
+        "cont_ratio": (_where(_finite_float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)"), 0.5),
+        "cont_eta_floor": (_offset, 1e-8),
+        "cont_mu_floor": (_offset, 1e-8),
+        "cont_max_steps": (_int_at_least(1), 60),
     },
     "rhs": {
-        "id": (str, "smooth-trig"),
-        "amplitude": (_finite_float, 1.0),
+        "id": (_one_of(*RHS_IDS), "smooth-trig"),
+        "amplitude": (_positive, 1.0),
         "seed": (_int_at_least(0), 0),
     },
     "output": {
@@ -142,13 +145,11 @@ SCHEMA = {
     },
     "reconstruct": {
         "residual_tol": (_finite_float, 1e-6),
-        "delta": (_finite_float, 1e-14),
     },
     "sweep": {
         "p_values": (_ListOf(_exponent), "1.2,1.5,1.8"),
         "mu_values": (_ListOf(_offset), "0,0.1"),
-        "amplitudes": (_ListOf(_where(_finite_float, lambda x: x > 0.0, "a number > 0")),
-                       "0.25,1,4,16"),
+        "amplitudes": (_ListOf(_positive), "0.25,1,4,16"),
         "seeds": (_ListOf(_int_at_least(0)), "101,102,103"),
         "workers": (_int_at_least(1), 1),
     },
@@ -324,8 +325,6 @@ def _build_solve_config(config: dict) -> solver.SolveConfig:
             eta=sc["eta"],
             outer_tol=sc["outer_tol"],
             max_outer=sc["max_outer"],
-            inner_tol=sc["inner_tol"],
-            inner_maxiter=sc["inner_maxiter"],
             continuation=cont,
         )
     except ValueError as exc:
@@ -392,6 +391,10 @@ def _cmd_constants(config: dict, outdir: Path, formats: set) -> dict:
     return report
 
 
+ESTIMATE_COLUMNS = ("name", "kind", "n", "p", "mu", "structure", "q", "rhs_id", "seed",
+                    "amplitude", "eta", "lhs", "rhs", "ratio", "iterations", "residual")
+
+
 def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
     ac = config["audit"]
     names = tuple(tok.strip() for tok in ac["checks"].split(",") if tok.strip())
@@ -409,18 +412,9 @@ def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
     report = {"command": "audit", "config": config}
     report.update(rep.to_dict())
     if "csv" in formats:
-        rows = []
-        for check in rep.estimate_checks:
-            for r in check["rows"]:
-                rows.append([r["name"], r["kind"], r["n"], r["p"], r["mu"], r["structure"],
-                             r["q"], r["rhs_id"], r["seed"], r["amplitude"], r["eta"],
-                             r["lhs"], r["rhs"], r["ratio"], r["iterations"], r["residual"]])
-        _write_csv(
-            outdir / "tables" / "estimates.csv",
-            ["name", "kind", "n", "p", "mu", "structure", "q", "rhs_id", "seed",
-             "amplitude", "eta", "lhs", "rhs", "ratio", "iterations", "residual"],
-            rows,
-        )
+        _write_csv(outdir / "tables" / "estimates.csv", list(ESTIMATE_COLUMNS),
+                   [[r[c] for c in ESTIMATE_COLUMNS]
+                    for check in rep.estimate_checks for r in check["rows"]])
         _write_csv(outdir / "tables" / "constants.csv", ["q", "c5_hat"],
                    [[q, v] for q, v in sorted(rep.c5_hat.items())])
     return report
@@ -428,7 +422,6 @@ def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
 
 def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
     problem, cfg, v, rep = _solve_configured(config)
-    rc = config["reconstruct"]
     check = reconstruct_mod.pointwise_bound_check(
         problem.domain,
         v,
@@ -437,8 +430,7 @@ def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
         problem.params.mu,
         structure=problem.params.structure,
         eta=cfg.eta,
-        residual_tol=rc["residual_tol"],
-        delta=rc["delta"],
+        residual_tol=config["reconstruct"]["residual_tol"],
     )
     report = {
         "command": "reconstruct",
@@ -481,9 +473,10 @@ def _sweep_point_inner(args, base) -> dict:
     base = solver.SolveConfig() if base is None else base
     cfg = replace(base, eta=eta, outer_tol=outer_tol, continuation=None)
     u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg)
-    lhs_kind, rhs_kind = ("w2q", "two_term") if p < 2.0 else ("d2", "plain")
-    lhs = audit_mod.lhs_value(domain, u, lhs_kind, 2.0)
-    rhs_val = audit_mod.rhs_value(domain, f, rhs_kind, 2.0, p)
+    # the W^{2,2} estimate of the paper for this p, as the audit checks it
+    spec = audit_mod.ESTIMATE_SPECS["p_lt_2_W22" if p < 2.0 else "p_gt_2_W22"]
+    lhs = audit_mod.lhs_value(domain, u, spec["lhs"], spec["q"])
+    rhs_val = audit_mod.rhs_value(domain, f, spec["rhs"], spec["q"], p)
     return {
         "index": idx, "kind": kind, "n": n, "structure": structure,
         "p": p, "mu": mu, "amplitude": amplitude, "seed": seed,
@@ -518,7 +511,7 @@ def aggregate_sweep(rows: list) -> dict:
             "max": float(np.max(arr)),
             "mean": float(np.mean(arr)),
             "spread": spread,
-            "verdict": "PASS" if spread < 10.0 else "FAIL",
+            "verdict": "PASS" if spread < audit_mod.SPREAD_LIMIT else "FAIL",
         }
     return summary
 
@@ -558,7 +551,7 @@ def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     idx = 0
     for p in p_values:
         for mu in mu_values:
-            eta = cfg.eta if mu > 0.0 else max(cfg.eta, 1e-8)
+            eta = cfg.eta if mu > 0.0 else max(cfg.eta, audit_mod.ETA_FLOOR)
             for amplitude in amplitudes:
                 for seed in seeds:
                     points.append((idx, kind, n, structure, p, mu, amplitude, seed,

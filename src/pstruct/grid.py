@@ -117,18 +117,13 @@ def apply_constraints(domain: DomainSpec, field: np.ndarray) -> np.ndarray:
     """Zero the Dirichlet faces of a field in place and return it."""
     for ax in range(3):
         if not domain.is_periodic(ax):
-            field[_face(field.ndim, ax, 0)] = 0.0
-            field[_face(field.ndim, ax, -1)] = 0.0
+            field[_sl(field.ndim, ax, 0)] = 0.0
+            field[_sl(field.ndim, ax, -1)] = 0.0
     return field
 
 
-def _face(ndim: int, grid_axis: int, index: int) -> tuple:
-    sl = [slice(None)] * ndim
-    sl[ndim - 3 + grid_axis] = index
-    return tuple(sl)
-
-
-def _sl(ndim: int, grid_axis: int, s: slice) -> tuple:
+def _sl(ndim: int, grid_axis: int, s) -> tuple:
+    """Index of one grid axis (a slice or an integer) of an ndim array."""
     sl = [slice(None)] * ndim
     sl[ndim - 3 + grid_axis] = s
     return tuple(sl)
@@ -176,8 +171,8 @@ def face_masks(domain: DomainSpec) -> tuple:
     masks = (np.ones(domain.shape), np.ones(domain.shape))
     for axis in range(3):
         if not domain.is_periodic(axis):
-            masks[0][_face(3, axis, -1)] = 0.0
-            masks[1][_face(3, axis, 0)] = 0.0
+            masks[0][_sl(3, axis, -1)] = 0.0
+            masks[1][_sl(3, axis, 0)] = 0.0
     return masks
 
 

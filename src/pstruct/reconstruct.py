@@ -34,6 +34,9 @@ __all__ = [
 
 _Z = 2
 
+# the regularizer of pointwise_bound_check's denominators
+DELTA = 1e-14
+
 
 @dataclass
 class NormalSystem:
@@ -73,12 +76,16 @@ def assemble_normal_system(
     the symmetric law), d2 the full second-derivative tensor (its (z,z)
     entries are never read), f the forcing.  Any trailing node axes are
     batched over.  Where |du| = 0 the (p-2) correction terms are set to 0;
-    they carry a factor du/|du| * du that vanishes with du.
+    they carry a factor du/|du| * du that vanishes with du.  The symmetric
+    law's system is the full law's with its (p-2) terms and forcing doubled,
+    one more on a[z, z] and the mixed divergence row added to the load.
     """
     if p <= 2.0:
         raise BadExponent(f"normal-system elimination needs p > 2, got p={p}")
     if mu <= 0.0:
         raise ValueError(f"normal-system elimination needs mu > 0, got mu={mu}")
+    if structure not in ("symmetric", "full"):
+        raise ValueError(f"structure must be 'symmetric' or 'full', got {structure!r}")
     du = np.asarray(du, dtype=float)
     t = _as_d2_tensor(d2)
     f = np.asarray(f, dtype=float)
@@ -88,33 +95,23 @@ def assemble_normal_system(
         inv = np.where(mag > 0.0, 1.0 / (base * mag), 0.0)
     nshape = du.shape[2:]
     eye = np.eye(3).reshape((3, 3) + (1,) * len(nshape))
-
+    law = 2.0 if structure == "symmetric" else 1.0
+    nvec = du[:, _Z]  # column of du against the normal, (du e_z)_j
+    a = np.broadcast_to(eye, (3, 3) + nshape).copy()
+    # tangential load: sum_{k<z} d_kk u_j, on the symmetric law plus the mixed
+    # divergence row with its dzz(u_z) term removed, and the (p-2) coupling
+    # without its (z, z) slot
+    load = t[:, 0, 0] + t[:, 1, 1]
     if structure == "symmetric":
-        nvec = du[:, _Z]  # column of Du against the normal, (Du e_z)_j
-        a = np.broadcast_to(eye, (3, 3) + nshape).copy()
         a[_Z, _Z] += 1.0
-        a += 2.0 * (p - 2.0) * inv * np.einsum("j...,l...->jl...", nvec, nvec)
-        # tangential load: sum_{k<z} d_kk u_j, the mixed divergence row with
-        # its dzz(u_z) term removed, and the (p-2) coupling without its
-        # (z, z) slot
-        s1 = t[:, 0, 0] + t[:, 1, 1]
         s2 = np.einsum("kjk...->j...", t[:, :, :])
         s2[_Z] -= t[_Z, _Z, _Z]
-        w = np.einsum("lm...,lkm...->k...", du, t)
-        w[_Z] -= np.einsum("l...,l...->...", du[:, _Z], t[:, _Z, _Z])
-        coupling = np.einsum("jk...,k...->j...", du, w)
-        gvec = -(s1 + s2) - 2.0 * (p - 2.0) * inv * coupling - 2.0 * base ** (2.0 - p) * f
-    elif structure == "full":
-        nvec = du[:, _Z]  # d_z u_j
-        a = np.broadcast_to(eye, (3, 3) + nshape).copy()
-        a += (p - 2.0) * inv * np.einsum("j...,l...->jl...", nvec, nvec)
-        s1 = t[:, 0, 0] + t[:, 1, 1]
-        w = np.einsum("lm...,lkm...->k...", du, t)
-        w[_Z] -= np.einsum("l...,l...->...", du[:, _Z], t[:, _Z, _Z])
-        coupling = np.einsum("jk...,k...->j...", du, w)
-        gvec = -s1 - (p - 2.0) * inv * coupling - base ** (2.0 - p) * f
-    else:
-        raise ValueError(f"structure must be 'symmetric' or 'full', got {structure!r}")
+        load += s2
+    a += law * (p - 2.0) * inv * np.einsum("j...,l...->jl...", nvec, nvec)
+    w = np.einsum("lm...,lkm...->k...", du, t)
+    w[_Z] -= np.einsum("l...,l...->...", nvec, t[:, _Z, _Z])
+    coupling = np.einsum("jk...,k...->j...", du, w)
+    gvec = -load - law * (p - 2.0) * inv * coupling - law * base ** (2.0 - p) * f
     context = {"base": base, "du": du, "p": p, "mu": mu, "structure": structure}
     return NormalSystem(a, gvec, context)
 
@@ -157,9 +154,8 @@ def pointwise_bound_check(
     structure: str = "symmetric",
     eta: float = 0.0,
     residual_tol: float = 1e-6,
-    delta: float = 1e-14,
 ) -> dict:
-    """Ratio field |dzz u| / (mu^(2-p)|f| + |tangential D2 u| + delta).
+    """Ratio field |dzz u| / (mu^(2-p)|f| + |tangential D2 u| + DELTA).
 
     u must be a converged solve for this (f, eta): the relative residual is
     gated at residual_tol (NotConverged otherwise), since the bound is a
@@ -182,7 +178,7 @@ def pointwise_bound_check(
     fmag = np.sqrt(np.sum(f * f, axis=0))
     ratio = np.zeros(domain.shape)
     inner = domain.interior
-    denom = mu ** (2.0 - p) * fmag + tang_mag + delta
+    denom = mu ** (2.0 - p) * fmag + tang_mag + DELTA
     ratio[inner] = (dzz_mag / denom)[inner]
 
     du = g.gradient(domain, u, structure)
@@ -192,7 +188,7 @@ def pointwise_bound_check(
     dzz_sq = np.sum(dzz * dzz, axis=0)[inner]
     rel_l2 = float(np.sqrt(np.sum(gap_sq)) / max(np.sqrt(np.sum(dzz_sq)), 1e-300))
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel_point = np.sqrt(gap_sq) / (np.sqrt(dzz_sq) + delta)
+        rel_point = np.sqrt(gap_sq) / (np.sqrt(dzz_sq) + DELTA)
     return {
         "ratio": ratio,
         "ratio_max": float(np.max(ratio[inner], initial=0.0)),

@@ -9,12 +9,15 @@ solution are the caller's, on the converged field.  Inner loop: one
 preconditioned conjugate gradient solve, _pcg, on flat vectors over the free
 DOFs (nodes on no Dirichlet face), with the frozen operator, its eta term
 included, assembled once per outer step as a CSR matrix over those DOFs.
-_pcg is the only place an inner solve fails, and it fails at once: NonFinite
-on a NaN, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner or the
-operator lost definiteness) or on reaching its iteration cap.  For p >= 2 the
-preconditioner is one exact inversion of the constant-coefficient 7-point
-Laplacian per iteration (poisson module): it is exact at p = 2, and at p > 2 a
-coefficient-scaled one cost more outer iterations than it saved inner ones.
+Each inner solve runs to the relative residual max(min(0.2 r, 0.1),
+0.02 outer_tol), r the outer step's relative residual, with at most
+INNER_MAXITER iterations.  _pcg is the only place an inner solve fails, and it
+fails at once: NonFinite on a NaN, IllConditioned on r.z <= 0 or p.Ap <= 0
+(the preconditioner or the operator lost definiteness) or on reaching that
+cap.  For p >= 2 the preconditioner is one exact inversion of the
+constant-coefficient 7-point Laplacian per iteration (poisson module): it is
+exact at p = 2, and at p > 2 a coefficient-scaled one cost more outer
+iterations than it saved inner ones.
 For p < 2 the secant coefficient is unbounded as |Gv| -> 0.  Each solve
 starts with the inversion scaled symmetrically by it, s P^{-1}(s r) with
 s = c^{-1/2} and c = eta + (a+ + a-)/2 per free node.  Its iteration count
@@ -94,6 +97,13 @@ __all__ = [
 
 COEFFICIENT_FLOOR = 1e-12
 
+# PCG iteration cap of an inner solve: a hang guard that no solve reaches
+INNER_MAXITER = 20000
+
+# frozen_linear_solve's fixed-point sweep: relative update target and cap
+FROZEN_TOL = 1e-11
+FROZEN_MAX_ITER = 600
+
 # A full-law p < 2 solve switches from the scaled Poisson preconditioner to
 # multigrid, for its remaining outer steps, after the first inner solve that
 # needs more than this many PCG iterations.  Measured at n = 16 on the full
@@ -172,11 +182,13 @@ class ContinuationPath:
 
 @dataclass
 class SolveConfig:
+    """Settings of one solve.  Its inner solves have none: each runs to the
+    relative residual max(min(0.2 r, 0.1), 0.02 outer_tol), r the outer
+    step's, with at most INNER_MAXITER PCG iterations."""
+
     eta: float = 0.0
     outer_tol: float = 1e-9
     max_outer: int = 200
-    inner_tol: float = 0.0  # 0 selects the residual-proportional forcing rule
-    inner_maxiter: int = 20000
     continuation: Optional[ContinuationPath] = None
 
     def __post_init__(self):
@@ -518,20 +530,20 @@ def linear_subsolve(
     domain: DomainSpec,
     mode: str = "full",
     rtol: float = 1e-11,
-    maxiter: int = 20000,
-    x0: Optional[np.ndarray] = None,
+    maxiter: int = INNER_MAXITER,
 ) -> np.ndarray:
-    """Solve the SPD system -eta*Lap(w) - div(a G w) = f to a relative l2 tol.
+    """Solve the SPD system -eta*Lap(w) - div(a G w) = f to a relative l2 tol,
+    starting from w = 0.
 
     Raises IllConditioned (carrying the achieved residual and iterate) when
     the iteration cap is hit first, NonFinite on a NaN or infinite residual.
-    The values of f and x0 on constrained nodes are ignored.
+    The values of f on constrained nodes are ignored.
     """
     mp, mm = g.face_masks(domain)
     a = coefficient_field
     matrix = _frozen_matrix(domain, a * mp, a * mm, eta, mode)
-    x0 = np.zeros(matrix.shape[0]) if x0 is None else _free(domain, x0)
-    x, _ = _pcg(domain, matrix.dot, _preconditioner(domain), _free(domain, f), x0, rtol, maxiter)
+    x, _ = _pcg(domain, matrix.dot, _preconditioner(domain), _free(domain, f),
+                np.zeros(matrix.shape[0]), rtol, maxiter)
     return _field(domain, x)
 
 
@@ -621,7 +633,7 @@ def solve(
             return v, report
         if it == config.max_outer:
             break
-        inner_rtol = config.inner_tol or max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
+        inner_rtol = max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
         if use_multigrid:
             precondition = multigrid.VCycle(domain, matrix, params.structure)
         elif params.p < 2.0:  # the unbounded coefficient the plain Poisson inverse misses
@@ -629,8 +641,7 @@ def solve(
             precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
         else:
             precondition = _preconditioner(domain)
-        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x, inner_rtol,
-                           config.inner_maxiter)
+        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x, inner_rtol, INNER_MAXITER)
         report.inner_iterations += inner_it
         use_multigrid |= (params.p < 2.0 and params.structure == "full"
                           and inner_it > MULTIGRID_AFTER)
@@ -735,9 +746,6 @@ def frozen_linear_solve(
     p: float,
     mu: float,
     f: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 600,
-    initial: Optional[np.ndarray] = None,
 ):
     """Solve the linear system with coefficients frozen at a mollified u_base.
 
@@ -746,11 +754,13 @@ def frozen_linear_solve(
 
         c[i,j,h,k] = d_h J(u_i) d_k J(u_j) / [(mu + J(|grad u|)) J(|grad u|)],
 
-    solved by a fixed-point sweep w <- Lap^{-1}[rhs + (p-2) c : D^2 w] whose
-    contraction factor is (2-p) max|c| times the discrete second-derivative
-    bound of the inverse Laplacian; |c| <= 1 up to O(h) boundary effects, so
-    the sweep converges for the p < 2 range the system is meant for.
-    Returns (w, FrozenReport with max|c| and iteration count).
+    solved by a fixed-point sweep w <- Lap^{-1}[rhs + (p-2) c : D^2 w] from
+    w = Lap^{-1} rhs, whose contraction factor is (2-p) max|c| times the
+    discrete second-derivative bound of the inverse Laplacian; |c| <= 1 up to
+    O(h) boundary effects, so the sweep converges for the p < 2 range the
+    system is meant for.  It stops at a relative update of FROZEN_TOL or after
+    FROZEN_MAX_ITER sweeps.  Returns (w, FrozenReport with max|c| and
+    iteration count).
     """
     if mu <= 0.0:
         raise CoefficientBlowup("frozen coefficients need mu > 0")
@@ -767,15 +777,15 @@ def frozen_linear_solve(
     c = np.where(den == 0.0, 0.0, c)
     coef_max = float(np.max(np.abs(c)))
     rhs = apply_constraints(domain, f * (mu + gmag) ** (2.0 - p))
-    w = poisson_solve(domain, rhs) if initial is None else initial.copy()
+    w = poisson_solve(domain, rhs)
     cs = c.reshape(3, 3, 3, 3, -1)
     final_update = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, FROZEN_MAX_ITER + 1):
         d2 = g.second_derivatives(domain, w).full_tensor().reshape(3, 3, 3, -1)
         corr = np.einsum("ijhkn,jhkn->in", cs, d2).reshape((3,) + domain.shape)
         w_new = poisson_solve(domain, rhs + (p - 2.0) * corr)
         final_update = _l2(w_new - w) / max(_l2(w_new), 1e-300)
         w = w_new
-        if final_update <= tol:
+        if final_update <= FROZEN_TOL:
             return w, FrozenReport(eps, coef_max, it, True, final_update)
-    return w, FrozenReport(eps, coef_max, max_iter, False, final_update)
+    return w, FrozenReport(eps, coef_max, FROZEN_MAX_ITER, False, final_update)

@@ -181,9 +181,6 @@ def test_section_is_named_in_value_errors(tmp_path, capsys):
     ("rhs.amplitude=inf", r"\[rhs\] amplitude"),
     ("solver.max_outer=-1", r"\[solver\] max_outer"),
     ("sweep.workers=0", r"\[sweep\] workers"),
-    ("solver.inner_tol=-1", r"\[solver\] inner_tol"),
-    ("solver.inner_tol=1", r"\[solver\] inner_tol"),
-    ("solver.inner_maxiter=0", r"\[solver\] inner_maxiter"),
     ("domain.n=4", r"\[domain\] n"),
     ("audit.n=4", r"\[audit\] n"),
     ("audit.constants_n=7", r"\[audit\] constants_n"),
@@ -199,28 +196,71 @@ def test_section_is_named_in_value_errors(tmp_path, capsys):
     ("sweep.mu_values=-1", r"\[sweep\] mu_values"),
     ("sweep.mu_values=0,inf", r"\[sweep\] mu_values"),
     ("params.mu=-0.5", r"\[params\] mu"),
+    ("solver.eta=-1", r"\[solver\] eta"),
+    ("solver.outer_tol=0", r"\[solver\] outer_tol"),
+    ("solver.cont_eta0=-1", r"\[solver\] cont_eta0"),
+    ("solver.cont_mu0=-1", r"\[solver\] cont_mu0"),
+    ("solver.cont_eta_floor=-1", r"\[solver\] cont_eta_floor"),
+    ("solver.cont_mu_floor=-1", r"\[solver\] cont_mu_floor"),
+    ("solver.cont_ratio=1.5", r"\[solver\] cont_ratio"),
+    ("solver.cont_ratio=0", r"\[solver\] cont_ratio"),
+    ("solver.cont_max_steps=0", r"\[solver\] cont_max_steps"),
+    ("params.structure=skew", r"\[params\] structure"),
+    ("domain.kind=torus", r"\[domain\] kind"),
+    ("rhs.amplitude=0", r"\[rhs\] amplitude"),
+    ("rhs.id=bogus", r"\[rhs\] id"),
 ])
 def test_non_finite_and_negative_values_rejected_at_parse(tmp_path, capsys, override, key):
     # mu = nan used to run at the default p = 2 (nan**0 == 1) and report a
     # converged solve; eta = nan and amplitude = inf spun in the inner solve.
-    # inner_tol = -1 ran PCG into a loss of definiteness, amplitudes = -1
-    # ended in a traceback, and audit.n = 4 failed without the key only after
-    # the constants pass; a negative seed ended in numpy's traceback, and a
-    # bad sweep p or mu was found only after the output directory was made
+    # amplitudes = -1 ended in a traceback, and audit.n = 4 failed without
+    # the key only after the constants pass; a negative seed ended in numpy's
+    # traceback, and a bad sweep p or mu was found only after the output
+    # directory was made.  cont_eta0 = -1 ran the whole path at eta = 0; a
+    # bad eta, outer_tol, cont_ratio, cont_max_steps, structure, kind or
+    # amplitude named only its section, after the output directory was made,
+    # and a bad rhs.id named no key
     with pytest.raises(ConfigError, match=key):
         cli.load_config(None, [override])
     assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
     assert re.search(key, capsys.readouterr().err)
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_range_limits_are_accepted():
     config = cli.load_config(None, ["domain.n=8", "audit.n=8", "audit.constants_n=8",
-                                    "audit.samples=0", "solver.inner_tol=0.5",
-                                    "solver.inner_maxiter=1", "sweep.amplitudes=1e-3,,2"])
+                                    "audit.samples=0", "sweep.amplitudes=1e-3,,2",
+                                    "solver.eta=0", "solver.cont_eta0=0", "solver.cont_mu0=0",
+                                    "solver.cont_eta_floor=0", "solver.cont_mu_floor=0",
+                                    "solver.cont_max_steps=1", "domain.kind=dirichlet_box",
+                                    "params.structure=symmetric", "rhs.id=constant"])
     assert (config["domain"]["n"], config["audit"]["samples"]) == (8, 0)
-    assert config["solver"]["inner_tol"] == 0.5
     assert config["sweep"]["amplitudes"] == "1e-3,,2"
+    assert (config["solver"]["cont_max_steps"], config["domain"]["kind"]) == (1, "dirichlet_box")
+
+
+@pytest.mark.parametrize("key", ["solver.inner_tol", "solver.inner_maxiter",
+                                 "reconstruct.delta"])
+def test_removed_keys_are_unknown(tmp_path, capsys, key):
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=rf"unknown config key \[{section}\] {name}"):
+        cli.load_config(None, [f"{key}=0.1"])
+    assert run_cli("solve", *base_args(tmp_path, "--set", f"{key}=0.1")) == 2
+    assert f"unknown config key [{section}] {name}" in capsys.readouterr().err
+
+
+def test_readme_config_reference_matches_schema():
+    # every `| section | key | `default` |` row of the README's config
+    # reference, against SCHEMA: the same keys, and each default, parsed
+    # with the key's own parser, equal to SCHEMA's
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| (\w+) \| (\w+) \| `([^`]*)` \|", readme.read_text(), re.M)
+    documented = {(section, key): raw for section, key, raw in rows}
+    assert len(documented) == len(rows)
+    assert set(documented) == {(sec, key) for sec, keys in cli.SCHEMA.items() for key in keys}
+    for (section, key), raw in documented.items():
+        parser, default = cli.SCHEMA[section][key]
+        assert parser(raw) == default, (section, key)
 
 
 SOLVER_VALUE_ERRORS = [
@@ -228,13 +268,15 @@ SOLVER_VALUE_ERRORS = [
     ["solver.outer_tol=0"],
     ["solver.continuation=true", "solver.cont_ratio=1.5"],
     ["solver.continuation=true", "solver.cont_max_steps=0"],
+    ["solver.continuation=true", "solver.cont_eta0=0", "solver.cont_mu0=0"],
 ]
 
 
 @pytest.mark.parametrize("overrides", SOLVER_VALUE_ERRORS)
 def test_solver_value_errors_exit_2(tmp_path, capsys, overrides):
-    # SolveConfig and ContinuationPath reject these with ValueError, which
-    # used to escape main() as a traceback
+    # these used to escape main() as a ValueError traceback; all but the last
+    # are now rejected at parse, and the last, which spans two keys, when
+    # ContinuationPath is built
     args = base_args(tmp_path)
     for item in overrides:
         args += ["--set", item]
