@@ -259,32 +259,36 @@ def rhs_value(domain: DomainSpec, f: np.ndarray, kind: str, q: float, p: float) 
     raise ValueError(kind)
 
 
-def verify_estimate(name: str, n: int = 16, **overrides) -> dict:
-    """Sweep amplitudes (and mu where applicable) and judge the estimate.
-
-    overrides replace entries of the estimate's ESTIMATE_SPECS entry.  PASS
-    requires the implied constant's spread over the amplitude sweep to stay
-    below SPREAD_LIMIT for every (shape, mu), and, for the p > 2 checks, the
-    log-log slope of the constant against mu (taken at the smallest
-    amplitude, where the mu-dominated regime is cleanest) to sit within 0.3
-    of -(p-2).  Off-hypothesis configurations still run but the verdict is
-    "informational".
-    """
+def _resolved_spec(name: str, overrides: dict) -> dict:
+    """The estimate's ESTIMATE_SPECS entry with overrides applied, its p, q
+    and mu values as floats."""
     if name not in ESTIMATE_SPECS:
         raise ValueError(f"unknown estimate {name!r}, expected one of {ESTIMATE_NAMES}")
     spec = dict(ESTIMATE_SPECS[name])
     spec.update(overrides)
-    p, q = float(spec["p"]), float(spec["q"])
-    mu_values = tuple(float(m) for m in spec["mu_values"])
-    structure, kind = spec["structure"], spec["kind"]
-    reasons = _coverage_reasons(name, p, mu_values, structure, kind, q)
-    domain = build_domain(kind, n)
+    spec["p"], spec["q"] = float(spec["p"]), float(spec["q"])
+    spec["mu_values"] = tuple(float(m) for m in spec["mu_values"])
+    return spec
 
-    rows = []
+
+def _family_key(spec: dict, n: int) -> tuple:
+    """What an estimate check's solves depend on: checks with equal keys
+    solve the same problems and differ only in the norms they take."""
+    return (spec["p"], spec["mu_values"], spec["structure"], spec["kind"], n)
+
+
+def _solve_family(p: float, mu_values: tuple, structure: str, kind: str, n: int) -> list:
+    """Solve every problem of one estimate family, in sweep order: per shape
+    seed and mu, the amplitudes ascending, each warm-started from the last
+    solution scaled by the amplitude ratio to the power 1/(p-1).  Returns
+    one (seed, mu, eta, amplitude, f, u, SolveReport) per problem."""
+    domain = build_domain(kind, n)
+    solved = []
     for seed in SHAPE_SEEDS:
         for mu in mu_values:
             params = ConstitutiveParams(p=p, mu=mu, structure=structure)
             eta = 0.0 if mu > 0.0 else ETA_FLOOR
+            cfg = solver.SolveConfig(eta=eta, outer_tol=OUTER_TOL, max_outer=MAX_OUTER)
             prev = None
             prev_amp = None
             for amp in sorted(AMPLITUDES):
@@ -292,21 +296,33 @@ def verify_estimate(name: str, n: int = 16, **overrides) -> dict:
                 initial = None
                 if prev is not None:
                     initial = prev * (amp / prev_amp) ** (1.0 / (p - 1.0))
-                cfg = solver.SolveConfig(eta=eta, outer_tol=OUTER_TOL, max_outer=MAX_OUTER)
                 u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg, initial=initial)
                 prev, prev_amp = u, amp
-                lhs = lhs_value(domain, u, spec["lhs"], q)
-                rhs = rhs_value(domain, f, spec["rhs"], q, p)
-                rows.append(
-                    {
-                        "name": name, "kind": kind, "n": n, "p": p, "mu": mu,
-                        "structure": structure, "q": q, "rhs_id": RHS_ID,
-                        "seed": int(seed), "amplitude": float(amp), "eta": eta,
-                        "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-                        "iterations": rep.iterations,
-                        "residual": rep.final_residual,
-                    }
-                )
+                solved.append((int(seed), mu, eta, float(amp), f, u, rep))
+    return solved
+
+
+def _judge_estimate(name: str, spec: dict, n: int, solved: list) -> dict:
+    """The verify_estimate result of check name on its family's solutions."""
+    p, q, mu_values = spec["p"], spec["q"], spec["mu_values"]
+    structure, kind = spec["structure"], spec["kind"]
+    reasons = _coverage_reasons(name, p, mu_values, structure, kind, q)
+    domain = build_domain(kind, n)
+
+    rows = []
+    for seed, mu, eta, amp, f, u, rep in solved:
+        lhs = lhs_value(domain, u, spec["lhs"], q)
+        rhs = rhs_value(domain, f, spec["rhs"], q, p)
+        rows.append(
+            {
+                "name": name, "kind": kind, "n": n, "p": p, "mu": mu,
+                "structure": structure, "q": q, "rhs_id": RHS_ID,
+                "seed": seed, "amplitude": amp, "eta": eta,
+                "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
+                "iterations": rep.iterations,
+                "residual": rep.final_residual,
+            }
+        )
 
     spreads = {}
     for seed in SHAPE_SEEDS:
@@ -354,6 +370,21 @@ def verify_estimate(name: str, n: int = 16, **overrides) -> dict:
         "mu_fit": mu_fit,
         "verdict": verdict,
     }
+
+
+def verify_estimate(name: str, n: int = 16, **overrides) -> dict:
+    """Sweep amplitudes (and mu where applicable) and judge the estimate.
+
+    overrides replace entries of the estimate's ESTIMATE_SPECS entry.  PASS
+    requires the implied constant's spread over the amplitude sweep to stay
+    below SPREAD_LIMIT for every (shape, mu), and, for the p > 2 checks, the
+    log-log slope of the constant against mu (taken at the smallest
+    amplitude, where the mu-dominated regime is cleanest) to sit within 0.3
+    of -(p-2).  Off-hypothesis configurations still run but the verdict is
+    "informational".
+    """
+    spec = _resolved_spec(name, overrides)
+    return _judge_estimate(name, spec, n, _solve_family(*_family_key(spec, n)))
 
 
 def tangential_energy_check(domain: DomainSpec, u: np.ndarray, p: float, mu: float) -> dict:
@@ -469,11 +500,22 @@ def run_audit(
     q_list=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0),
 ) -> AuditReport:
     """Full audit: constants on the convex box, the named estimate checks,
-    the tangential energy ratio, and a Hölder seminorm probe."""
+    the tangential energy ratio, and a Hölder seminorm probe.
+
+    Each check's entry equals verify_estimate(name, n=n), but checks whose
+    problems coincide (same p, mu values, law, domain kind and n) share one
+    solve of each problem; no solution outlives the call."""
     box = build_domain(DIRICHLET_BOX, constants_n)
     table, c4, fit, c6 = estimate_constants(box, q_list, samples, seed)
     adm = admissible_p((2.0, 4.0, 6.0), c4, table)
-    checks = [verify_estimate(name, n=n) for name in check_names]
+    families = {}
+    checks = []
+    for name in check_names:
+        spec = _resolved_spec(name, {})
+        key = _family_key(spec, n)
+        if key not in families:
+            families[key] = _solve_family(*key)
+        checks.append(_judge_estimate(name, spec, n, families[key]))
 
     slab = build_domain(CUBIC_PERIODIC, n)
     u_smooth = smooth_test_field(slab).values()

@@ -39,6 +39,7 @@ from .grid import build_domain, save_field
 from .problems import RHS_IDS, SEEDED_RHS_IDS, ProblemSpec, RhsSpec, rhs_sample
 
 COMMANDS = ("solve", "audit", "constants", "reconstruct", "sweep")
+OUTPUT_FORMATS = ("json", "csv", "fields")
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -94,7 +95,7 @@ class _ListOf:
         self.item, self.check = item, check
 
     def entries(self, raw: str) -> list:
-        values = [self.item(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [self.item(tok.strip()) for tok in raw.split(",") if tok.strip() != ""]
         self.check(values)
         return values
 
@@ -133,18 +134,18 @@ SCHEMA = {
     },
     "output": {
         "directory": (str, "out"),
-        "formats": (str, "json,csv"),
+        "formats": (_ListOf(_one_of(*OUTPUT_FORMATS)), "json,csv"),
     },
     "audit": {
         "n": (_int_at_least(g.MIN_NODES), 16),
         "constants_n": (_int_at_least(g.MIN_NODES), 32),
         "samples": (_int_at_least(0), 12),
         "seed": (_int_at_least(0), 0),
-        "checks": (str, ",".join(ESTIMATE_NAMES)),
+        "checks": (_ListOf(_one_of(*ESTIMATE_NAMES)), ",".join(ESTIMATE_NAMES)),
         "q_list": (_ListOf(_finite_float, audit_mod.check_q_list), "2,4,6,8,10,12,16"),
     },
     "reconstruct": {
-        "residual_tol": (_finite_float, 1e-6),
+        "residual_tol": (_positive, 1e-6),
     },
     "sweep": {
         "p_values": (_ListOf(_exponent), "1.2,1.5,1.8"),
@@ -397,16 +398,12 @@ ESTIMATE_COLUMNS = ("name", "kind", "n", "p", "mu", "structure", "q", "rhs_id", 
 
 def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
     ac = config["audit"]
-    names = tuple(tok.strip() for tok in ac["checks"].split(",") if tok.strip())
-    for name in names:
-        if name not in ESTIMATE_NAMES:
-            raise ConfigError(f"invalid value for [audit] checks: unknown check {name!r}")
     rep = audit_mod.run_audit(
         n=ac["n"],
         constants_n=ac["constants_n"],
         samples=ac["samples"],
         seed=ac["seed"],
-        check_names=names,
+        check_names=tuple(_entries(config, "audit", "checks")),
         q_list=tuple(_entries(config, "audit", "q_list")),
     )
     report = {"command": "audit", "config": config}
@@ -604,12 +601,9 @@ def run(command: str, config: dict, strict: bool = False) -> int:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
     _check_grid_memory(command, config)
+    formats = set(_entries(config, "output", "formats"))
     outdir = Path(config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    formats = {tok.strip() for tok in config["output"]["formats"].split(",") if tok.strip()}
-    unknown = formats - {"json", "csv", "fields"}
-    if unknown:
-        raise ConfigError(f"invalid value for [output] formats: {sorted(unknown)}")
     start = time.perf_counter()
     handler = {
         "solve": _cmd_solve,

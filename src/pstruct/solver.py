@@ -8,7 +8,8 @@ Only the residual and energy histories are recorded per step; norms of the
 solution are the caller's, on the converged field.  Inner loop: one
 preconditioned conjugate gradient solve, _pcg, on flat vectors over the free
 DOFs (nodes on no Dirichlet face), with the frozen operator, its eta term
-included, assembled once per outer step as a CSR matrix over those DOFs.
+included, assembled once per outer step as a CSR matrix over those DOFs;
+it starts from the residual the outer step computed for its own test.
 Each inner solve runs to the relative residual max(min(0.2 r, 0.1),
 0.02 outer_tol), r the outer step's relative residual, with at most
 INNER_MAXITER iterations.  _pcg is the only place an inner solve fails, and it
@@ -474,9 +475,10 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
+def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
     """Preconditioned CG on free-DOF vectors to relative residual rtol;
-    returns (x, iterations).
+    returns (x, iterations).  r0 is the caller's b - apply_a(x0), so a caller
+    that has it already (the outer step's residual) pays no extra product.
 
     Every inner-solve failure is raised here, at once: a non-finite residual
     norm, r.z or p.Ap raises NonFinite; r.z <= 0 (the preconditioner is not
@@ -488,7 +490,7 @@ def _pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     x = x0.copy()
-    r = b - apply_a(x)
+    r = r0.copy()
     rn = _require_finite(_l2(r), "PCG residual norm")
     if rn <= rtol * bnorm:
         return x, 0
@@ -542,8 +544,9 @@ def linear_subsolve(
     mp, mm = g.face_masks(domain)
     a = coefficient_field
     matrix = _frozen_matrix(domain, a * mp, a * mm, eta, mode)
-    x, _ = _pcg(domain, matrix.dot, _preconditioner(domain), _free(domain, f),
-                np.zeros(matrix.shape[0]), rtol, maxiter)
+    b = _free(domain, f)
+    x, _ = _pcg(domain, matrix.dot, _preconditioner(domain), b, np.zeros_like(b), b, rtol,
+                maxiter)
     return _field(domain, x)
 
 
@@ -622,7 +625,8 @@ def solve(
         report.floor_active |= hit
         matrix = _frozen_matrix(domain, a_plus, a_minus, config.eta, params.structure)
         x = _free(domain, v)
-        res = _require_finite(_l2(b - matrix @ x) / fnorm, "relative residual")
+        r = b - matrix.dot(x)
+        res = _require_finite(_l2(r) / fnorm, "relative residual")
         _require_finite(e_cur, "energy")
         report.residual_history.append(res)
         report.energy_history.append(e_cur)
@@ -641,7 +645,8 @@ def solve(
             precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
         else:
             precondition = _preconditioner(domain)
-        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x, inner_rtol, INNER_MAXITER)
+        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x, r, inner_rtol,
+                           INNER_MAXITER)
         report.inner_iterations += inner_it
         use_multigrid |= (params.p < 2.0 and params.structure == "full"
                           and inner_it > MULTIGRID_AFTER)

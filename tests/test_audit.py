@@ -282,3 +282,67 @@ def test_run_audit_end_to_end():
     assert blob["inputs"]["n"] == 12
     assert blob["c5_hat"]["2"] == report.c5_hat[2.0]
     assert len(blob["estimate_checks"]) == len(audit.ESTIMATE_NAMES)
+
+
+# ---------------------------------------------------------------- shared families
+
+
+def _counting_solves(monkeypatch):
+    """Record (p, mu, law, domain kind, forcing) of every solver.solve call."""
+    calls, solve = [], audit.solver.solve
+
+    def counting(problem, config, initial=None):
+        params = problem.params
+        calls.append((params.p, params.mu, params.structure, problem.domain.kind,
+                      problem.forcing().tobytes()))
+        return solve(problem, config, initial=initial)
+
+    monkeypatch.setattr(audit.solver, "solve", counting)
+    return calls
+
+
+def _family_size(name):
+    return (len(audit.SHAPE_SEEDS) * len(audit.ESTIMATE_SPECS[name]["mu_values"])
+            * len(audit.AMPLITUDES))
+
+
+def test_run_audit_solves_each_family_once_per_call(monkeypatch):
+    # p_gt_2_W22 and tangential_fe1 pose the same 48 problems; the audit
+    # solves them once, plus 24 and 12 for the p < 2 checks and one Hölder
+    # solve: 85 where one verify_estimate per check made 133
+    calls = _counting_solves(monkeypatch)
+    first = audit.run_audit(n=8, constants_n=8, samples=0)
+    assert _family_size("p_gt_2_W22") == _family_size("tangential_fe1") == 48
+    assert len(calls) == 48 + 24 + 12 + 1 == 85
+    assert len(set(calls)) == len(calls)
+    # nothing is kept between calls: a second audit solves everything again
+    second = audit.run_audit(n=8, constants_n=8, samples=0)
+    assert len(calls) == 2 * 85
+    assert calls[85:] == calls[:85]
+    assert second.estimate_checks == first.estimate_checks
+    # each check's entry is what verify_estimate gives for it alone
+    for check in second.estimate_checks:
+        alone = audit.verify_estimate(check["name"], n=8)
+        assert check["rows"] == alone["rows"]
+        assert check["spreads"] == alone["spreads"]
+        assert check["mu_fit"] == alone["mu_fit"]
+        assert check == alone
+
+
+def test_a_spec_that_changes_the_problems_stops_the_sharing(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    names = ("p_gt_2_W22", "tangential_fe1")
+    audit.run_audit(n=8, constants_n=8, samples=0, check_names=names)
+    assert len(calls) == 48 + 1
+    # a different lhs or q leaves the problems alone; a different p does not
+    spec = audit.ESTIMATE_SPECS["tangential_fe1"]
+    monkeypatch.setitem(audit.ESTIMATE_SPECS, "tangential_fe1", {**spec, "lhs": "d2", "q": 4.0})
+    calls.clear()
+    audit.run_audit(n=8, constants_n=8, samples=0, check_names=names)
+    assert len(calls) == 48 + 1
+    monkeypatch.setitem(audit.ESTIMATE_SPECS, "tangential_fe1", {**spec, "p": 2.6})
+    calls.clear()
+    report = audit.run_audit(n=8, constants_n=8, samples=0, check_names=names)
+    assert len(calls) == 48 + 48 + 1
+    assert len(set(calls)) == len(calls)
+    assert [c["inputs"]["p"] for c in report.estimate_checks] == [2.5, 2.6]

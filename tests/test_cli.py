@@ -95,6 +95,38 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error:"), overrides
 
 
+@pytest.mark.parametrize("command, item, key", [
+    ("audit", "audit.checks=bogus", "[audit] checks"),
+    ("audit", "audit.checks=p_lt_2_W2q,bogus", "[audit] checks"),
+    ("solve", "output.formats=xml", "[output] formats"),
+    ("reconstruct", "reconstruct.residual_tol=-1", "[reconstruct] residual_tol"),
+    ("reconstruct", "reconstruct.residual_tol=0", "[reconstruct] residual_tol"),
+])
+def test_list_entries_and_the_residual_gate_are_checked_at_parse(tmp_path, capsys, command,
+                                                                 item, key):
+    # an unknown check or format used to be rejected only once the output
+    # directory existed, and a residual_tol <= 0 only after the whole solve,
+    # with a message that named no key
+    assert run_cli(command, *base_args(tmp_path, "--set", item)) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        cli.load_config(None, [item])
+
+
+def test_list_entries_may_carry_spaces_and_code_built_configs_are_checked(tmp_path):
+    config = cli.load_config(None, ["output.formats=json, csv", "audit.checks= p_lt_2_W2q ,",
+                                    f"output.directory={tmp_path / 'out'}"])
+    assert cli._entries(config, "output", "formats") == ["json", "csv"]
+    assert cli._entries(config, "audit", "checks") == ["p_lt_2_W2q"]
+    # a config built in code has not been through load_config; run checks
+    # its formats before it makes the output directory
+    config["output"]["formats"] = "json,xml"
+    with pytest.raises(ConfigError, match=r"\[output\] formats"):
+        cli.run("solve", config)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, key", [("solve", "domain.n"), ("audit", "audit.n"),
                                           ("audit", "audit.constants_n")])
 def test_grid_larger_than_memory_is_rejected_before_any_work(tmp_path, capsys, monkeypatch,

@@ -127,7 +127,8 @@ def test_multigrid_iterations_do_not_grow_with_contrast(mode):
         matrix = solver._frozen_matrix(dom, a_plus, a_minus, eta, mode)
         c = eta + 0.5 * (a_plus[dom.interior] + a_minus[dom.interior])
         scaled = solver._preconditioner(dom, np.tile(c.ravel() ** -0.5, 3))
-        counts = [solver._pcg(dom, matrix.dot, precondition, b, np.zeros_like(b), 1e-8, 500)[1]
+        counts = [solver._pcg(dom, matrix.dot, precondition, b, np.zeros_like(b), b,
+                              1e-8, 500)[1]
                   for precondition in (multigrid.VCycle(dom, matrix, mode), scaled)]
         rows.append((c.max() / c.min(), *counts))
     (low, mg_low, _), (high, mg_high, scaled_high) = rows

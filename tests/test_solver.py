@@ -205,12 +205,15 @@ def test_pcg_stops_at_once_on_non_finite():
         calls.append(1)
         return np.where(w == 0.0, 0.0, np.nan)
 
+    # the caller's initial residual is one apply, as in solve's outer step
+    x0 = np.zeros_like(b)
     with pytest.raises(NonFinite, match="p.Ap"):
-        solver._pcg(dom, nan_apply, precondition, b, np.zeros_like(b), 1e-10, 50)
+        solver._pcg(dom, nan_apply, precondition, b, x0, b - nan_apply(x0), 1e-10, 50)
     assert len(calls) == 2
     calls.clear()
+    x0 = np.ones_like(b)
     with pytest.raises(NonFinite, match="residual"):
-        solver._pcg(dom, nan_apply, precondition, b, np.ones_like(b), 1e-10, 50)
+        solver._pcg(dom, nan_apply, precondition, b, x0, b - nan_apply(x0), 1e-10, 50)
     assert len(calls) == 1
     a = np.ones(dom.shape)
     a[3, 3, 3] = np.inf
@@ -227,9 +230,10 @@ def test_pcg_raises_on_loss_of_definiteness():
         calls.append(1)
         return -w
 
+    x0 = np.zeros_like(b)
     with pytest.raises(IllConditioned, match="definiteness at PCG iteration 1") as exc:
-        solver._pcg(dom, negative_apply, solver._preconditioner(dom), b, np.zeros_like(b),
-                    1e-10, 50)
+        solver._pcg(dom, negative_apply, solver._preconditioner(dom), b, x0,
+                    b - negative_apply(x0), 1e-10, 50)
     # used to run on to the cap path and report "inner solve cap 50 reached"
     assert len(calls) == 2
     assert exc.value.achieved == 1.0
@@ -249,7 +253,7 @@ def test_pcg_raises_when_the_preconditioner_loses_definiteness():
 
     with pytest.raises(IllConditioned, match="preconditioner lost definiteness at PCG "
                                              "iteration 1") as exc:
-        solver._pcg(dom, a.dot, negative, b, np.zeros_like(b), 1e-10, 50)
+        solver._pcg(dom, a.dot, negative, b, np.zeros_like(b), b, 1e-10, 50)
     assert len(calls) == 1
     assert exc.value.achieved == 1.0
     assert np.array_equal(exc.value.field, dom.zeros((3,)))
@@ -261,12 +265,12 @@ def test_pcg_raises_when_the_preconditioner_loses_definiteness():
 
     calls.clear()
     with pytest.raises(IllConditioned, match="iteration 3") as exc:
-        solver._pcg(dom, a.dot, turns_indefinite, b, np.zeros_like(b), 1e-10, 50)
+        solver._pcg(dom, a.dot, turns_indefinite, b, np.zeros_like(b), b, 1e-10, 50)
     assert 0.0 < exc.value.achieved < 1.0
     assert np.linalg.norm(b - a @ solver._free(dom, exc.value.field)) == pytest.approx(
         exc.value.achieved * np.linalg.norm(b), rel=1e-12)
     with pytest.raises(NonFinite, match="r.z"):
-        solver._pcg(dom, a.dot, lambda r: np.full_like(r, np.nan), b, np.zeros_like(b),
+        solver._pcg(dom, a.dot, lambda r: np.full_like(r, np.nan), b, np.zeros_like(b), b,
                     1e-10, 50)
 
 
@@ -659,8 +663,8 @@ def _short_p14_path(monkeypatch, preconditioner):
     pcg, solve = solver._pcg, solver.solve
     steps = []
 
-    def plain_pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
-        return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, rtol, maxiter)
+    def plain_pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
+        return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, r0, rtol, maxiter)
 
     def recording_solve(problem, config, initial=None):
         v, report = solve(problem, config, initial)
@@ -721,8 +725,8 @@ def _recording_pcg(monkeypatch, forced_rtol=None):
     forced_rtol instead of the solver's own tolerance when one is given."""
     record, pcg = [], solver._pcg
 
-    def recording(domain, apply_a, precondition, b, x0, rtol, maxiter):
-        x, k = pcg(domain, apply_a, precondition, b, x0, forced_rtol or rtol, maxiter)
+    def recording(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
+        x, k = pcg(domain, apply_a, precondition, b, x0, r0, forced_rtol or rtol, maxiter)
         record.append((isinstance(precondition, multigrid.VCycle), k))
         return x, k
 
@@ -789,8 +793,8 @@ def test_periodic_joint_path_beats_the_plain_poisson_inverse(monkeypatch):
     cfg = solver.SolveConfig(continuation=path)
     pcg = solver._pcg
 
-    def plain_pcg(domain, apply_a, precondition, b, x0, rtol, maxiter):
-        return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, rtol, maxiter)
+    def plain_pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
+        return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, r0, rtol, maxiter)
 
     _, ours = solver.continuation_solve(prob, cfg)
     monkeypatch.setattr(solver, "_pcg", plain_pcg)
