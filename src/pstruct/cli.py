@@ -211,13 +211,14 @@ def _available_memory():
 
 def _check_grid_memory(command: str, config: dict) -> None:
     """Reject a grid size the command reads whose estimated peak exceeds the
-    memory available."""
+    memory available; a sweep's pool runs one per worker, up to the CPUs."""
     memory = _available_memory()
     if memory is None:
         return
+    solves = min(config["sweep"]["workers"], os.cpu_count() or 1) if command == "sweep" else 1
     for section, key, structure in GRID_KEYS[command]:
         n = config[section][key]
-        need = solver.peak_memory_estimate(n, structure or config["params"]["structure"])
+        need = solves * solver.peak_memory_estimate(n, structure or config["params"]["structure"])
         if need > memory:
             raise ConfigError(
                 f"invalid value for [{section}] {key}: {n} (a run at this size is "
@@ -451,7 +452,17 @@ def _sweep_point(args, base=None) -> dict:
     and outer_tol the point's solve uses (the defaults when None)."""
     (idx, kind, n, structure, p, mu, amplitude, seed, rhs_id, eta, outer_tol) = args
     try:
-        return _sweep_point_inner(args, base)
+        domain = build_domain(kind, n)
+        params = ConstitutiveParams(p=p, mu=mu, structure=structure)
+        f = rhs_sample(domain, rhs_id, amplitude, seed)
+        # each point is a direct solve at its own eta
+        base = solver.SolveConfig() if base is None else base
+        cfg = replace(base, eta=eta, outer_tol=outer_tol, continuation=None)
+        u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg)
+        # the W^{2,2} estimate of the paper for this p, as the audit checks it
+        spec = audit_mod.ESTIMATE_SPECS["p_lt_2_W22" if p < 2.0 else "p_gt_2_W22"]
+        lhs = audit_mod.lhs_value(domain, u, spec["lhs"], spec["q"])
+        rhs_val = audit_mod.rhs_value(domain, f, spec["rhs"], spec["q"], p)
     except PStructError as exc:
         # keep the failing point identifiable when many points run, possibly
         # out of order in a worker pool
@@ -459,21 +470,6 @@ def _sweep_point(args, base=None) -> dict:
             f"sweep point index={idx} p={p:g} mu={mu:g} amplitude={amplitude:g} "
             f"seed={seed}: {exc}"
         ) from exc
-
-
-def _sweep_point_inner(args, base) -> dict:
-    (idx, kind, n, structure, p, mu, amplitude, seed, rhs_id, eta, outer_tol) = args
-    domain = build_domain(kind, n)
-    params = ConstitutiveParams(p=p, mu=mu, structure=structure)
-    f = rhs_sample(domain, rhs_id, amplitude, seed)
-    # each point is a direct solve at its own eta
-    base = solver.SolveConfig() if base is None else base
-    cfg = replace(base, eta=eta, outer_tol=outer_tol, continuation=None)
-    u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg)
-    # the W^{2,2} estimate of the paper for this p, as the audit checks it
-    spec = audit_mod.ESTIMATE_SPECS["p_lt_2_W22" if p < 2.0 else "p_gt_2_W22"]
-    lhs = audit_mod.lhs_value(domain, u, spec["lhs"], spec["q"])
-    rhs_val = audit_mod.rhs_value(domain, f, spec["rhs"], spec["q"], p)
     return {
         "index": idx, "kind": kind, "n": n, "structure": structure,
         "p": p, "mu": mu, "amplitude": amplitude, "seed": seed,

@@ -21,20 +21,19 @@ operators.
 
 Smoother.  Two damped Jacobi sweeps before and two after the coarse
 correction, x += OMEGA D^{-1} (r - A x), with D the larger of the diagonal
-and half the absolute row sum of the level's A.  For the full law's fine
-level that is the diagonal away from walls (the operator is a weighted
-7-point graph Laplacian), so the sweep is plain omega = 0.8 Jacobi there.
-Taking the row sum into D keeps every sweep an A-norm contraction, since
-2D - A is diagonally dominant: the symmetric law's D^{-1}A reaches 3.2 at a
-contrast of e^20, beyond the 2 / OMEGA = 2.5 that plain Jacobi tolerates.
-With the same smoother before and after, exact coarse solves and R = P^T,
-the cycle is symmetric positive definite.
+and half the absolute row sum of the level's A.  On the fine level, a
+weighted 7-point graph Laplacian, D is the diagonal.  The Galerkin coarse
+operators have positive off-diagonals, and there half the row sum exceeds
+the diagonal: by up to 1.48x on the first coarse level at n = 16 and a
+contrast of e^12.  The row sum makes 2D - A diagonally dominant, so every
+sweep is an A-norm contraction whatever the coefficients.  With the same
+smoother before and after, exact coarse solves and R = P^T, the cycle is
+symmetric positive definite.
 
-Laws.  The full law's matrix is three equal uncoupled blocks, so the cycle
-runs on the scalar block with the three components as the columns of an
-(N, 3) block; the symmetric law's coupled matrix uses kron(I3, P) and one
-column.  Both run the same cycle; the solver switches to it on the full law
-only (see solver.MULTIGRID_AFTER).
+Law.  The full law's matrix is three equal uncoupled blocks: the cycle runs
+on the scalar block, with one column of an (N, 3) block per component.
+The symmetric law keeps the scaled Poisson inverse (see
+solver.MULTIGRID_AFTER).
 """
 
 from __future__ import annotations
@@ -107,38 +106,29 @@ def interpolations(domain: DomainSpec) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _transfers(domain: DomainSpec, components: int) -> tuple:
-    """(P, P^T) per level for fields of 1 or 3 coupled components."""
-    eye = sp.identity(components, format="csr")
-    out = []
-    for p in interpolations(domain):
-        if components > 1:
-            p = sp.kron(eye, p, format="csr")
-        out.append((p, p.T.tocsr()))
-    return tuple(out)
+@lru_cache(maxsize=4)
+def _transfers(domain: DomainSpec) -> tuple:
+    """(P, P^T) per level, so no set-up transposes P."""
+    return tuple((p, p.T.tocsr()) for p in interpolations(domain))
 
 
 class VCycle:
-    """One V(2,2) cycle of the Galerkin hierarchy of a frozen matrix, as a
-    preconditioner on free-DOF vectors in _frozen_matrix's numbering.
+    """One V(2,2) cycle of the Galerkin hierarchy of a full-law frozen matrix,
+    as a preconditioner on free-DOF vectors in _frozen_matrix's numbering.
 
-    matrix is _frozen_matrix(domain, ..., mode); building the hierarchy costs
-    one Galerkin product per level and a dense Cholesky factor.
+    matrix is _frozen_matrix(domain, ..., "full"); building the hierarchy
+    costs one Galerkin product per level and a dense Cholesky factor.
     """
 
-    def __init__(self, domain: DomainSpec, matrix: sp.csr_matrix, mode: str):
-        full = mode == "full"
-        self.columns = 3 if full else 1
-        if full:
-            # rows of the first component couple no other: its block is the
-            # leading slice of the CSR arrays
-            nodes = matrix.shape[0] // 3
-            end = matrix.indptr[nodes]
-            matrix = sp.csr_matrix(
-                (matrix.data[:end], matrix.indices[:end], matrix.indptr[: nodes + 1]),
-                shape=(nodes, nodes))
-        transfers = _transfers(domain, 1 if full else 3)
+    def __init__(self, domain: DomainSpec, matrix: sp.csr_matrix):
+        # rows of the first component couple no other: its block is the
+        # leading slice of the CSR arrays
+        nodes = matrix.shape[0] // 3
+        end = matrix.indptr[nodes]
+        matrix = sp.csr_matrix(
+            (matrix.data[:end], matrix.indices[:end], matrix.indptr[: nodes + 1]),
+            shape=(nodes, nodes))
+        transfers = _transfers(domain)
         self.interpolations = tuple(p for p, _ in transfers)
         self.restrictions = tuple(r for _, r in transfers)
         self.operators = [matrix]
@@ -151,7 +141,7 @@ class VCycle:
         self.factor = sla.cho_factor(self.operators[-1].toarray())
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        block = np.ascontiguousarray(r.reshape(self.columns, -1).T)
+        block = np.ascontiguousarray(r.reshape(3, -1).T)
         return self._cycle(0, block).T.ravel()
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ class ProblemSpec:
     params: ConstitutiveParams
     rhs: RhsSpec = dataclass_field(default_factory=RhsSpec)
     f: Optional[np.ndarray] = None  # explicit forcing overrides the catalog
-    exact: Optional[np.ndarray] = None  # reference solution when known
 
     def forcing(self) -> np.ndarray:
         if self.f is None:

@@ -27,7 +27,8 @@ solve that needs more than MULTIGRID_AFTER iterations switches the solve, for
 its remaining outer steps, to one Galerkin V-cycle per iteration (multigrid
 module), built on each step's assembled matrix, whose count does not grow
 with the contrast.  The symmetric law keeps the scaled inversion (the comment
-on MULTIGRID_AFTER says why).
+on MULTIGRID_AFTER says why).  A solve stops with NoConvergence at max_outer
+or once its best residual has not improved for STALL_STEPS outer steps.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -101,6 +102,13 @@ COEFFICIENT_FLOOR = 1e-12
 # PCG iteration cap of an inner solve: a hang guard that no solve reaches
 INNER_MAXITER = 20000
 
+# A solve stops with NoConvergence once its best relative residual has not
+# improved for this many outer steps.  Converging solves went at most 14
+# steps without a new best (criterion 5's p = 3 solve at n = 24; 0-1 in the
+# README examples and the perfbench workloads).  A p = 4, mu = 0, eta = 1e-8
+# solve on the n = 16 box is best at step 36, then wanders until its cap.
+STALL_STEPS = 50
+
 # frozen_linear_solve's fixed-point sweep: relative update target and cap
 FROZEN_TOL = 1e-11
 FROZEN_MAX_ITER = 600
@@ -119,22 +127,19 @@ FROZEN_MAX_ITER = 600
 # earlier ones: the switch is sticky.  The p < 2 solves of perfbench's
 # estimate-audit and parallel-sweep workloads need at most 4 and never switch.
 #
-# Symmetric-law solves never switch.  Their coupled Galerkin products make a
-# set-up cost 13 (box) and 22 (slab) units at n = 16 and a multigrid
-# iteration 2.5-3.0, so one inner solve breaks even only above 13 and 21
-# scaled iterations.  And the rule's premise fails there: on p = 1.4 and 1.3,
-# mu = 0 continuations from eta = 1e-2 on the n = 16 box, all but 4 and 6 of
-# 351 and 468 inner solves take 3-4 scaled iterations (the rest up to 114),
-# so a switch, after 4 or after 21, adds a set-up to steps that were cheap
-# and raised the CPU time by 9-18 %.  (On the slab at p = 1.4 a switch after 21 saved
-# 9 %; no benchmark workload runs a symmetric p < 2 solve.)
+# Symmetric-law solves never switch, and the multigrid module has no cycle
+# for their coupled matrix.  A coupled cycle was measured at n = 16: its
+# set-up cost 13 (box) and 22 (slab) units, and on p = 1.4 and 1.3, mu = 0
+# box continuations all but 4 and 6 of 351 and 468 inner solves took 3-4
+# scaled iterations, so a switch, after 4 or after 21, raised the CPU time
+# by 9-18 % (on the slab at p = 1.4 it saved 9 %).
 MULTIGRID_AFTER = 4
 
 # Peak resident bytes per grid node of a solve: the assembly's build (sorted
-# triplets of the law and of the eta term), the gradient pairs and the
-# multigrid levels.  ru_maxrss over a fresh process on the box at n = 16, 24
-# and 32 gave 2.4-2.9 KB on the full law and 5.8-7.1 KB on the symmetric law,
-# growing slowly with n; these are rounded up.
+# triplets of the law and of the eta term), the gradient pairs and, on the
+# full law only, the multigrid levels.  ru_maxrss over a fresh process on the
+# box at n = 16, 24 and 32 gave 2.4-2.9 KB on the full law and 5.8-7.1 KB on
+# the symmetric law, growing slowly with n; these are rounded up.
 PEAK_BYTES_PER_NODE = {"full": 4096, "symmetric": 8192}
 
 
@@ -593,9 +598,10 @@ def solve(
 
     Stops when the relative l2 residual of the discrete strong form drops
     below config.outer_tol.  Returns (field, SolveReport); raises
-    NoConvergence with the best iterate attached if the budget runs out,
-    NonFinite on a NaN or infinite residual or energy, and DegenerateConfig
-    for eta = mu = 0 at p != 2 (go through continuation).
+    NoConvergence, with the report and the best iterate attached, if the
+    budget runs out or the best residual has not improved for STALL_STEPS
+    outer steps, NonFinite on a NaN or infinite residual or energy, and
+    DegenerateConfig for eta = mu = 0 at p != 2 (go through continuation).
     """
     domain, params = problem.domain, problem.params
     if config.eta == 0.0 and params.mu == 0.0 and params.p != 2.0:
@@ -620,6 +626,7 @@ def solve(
     pair = _pm_gradients(domain, v)
     e_cur = energy(v, problem, config.eta, pair)
     use_multigrid = False
+    best = (np.inf, 0, v)  # relative residual, step and iterate
     for it in range(config.max_outer + 1):
         a_plus, a_minus, hit = coefficient_field(domain, params, v, pair)
         report.floor_active |= hit
@@ -635,11 +642,13 @@ def solve(
         if res <= config.outer_tol:
             report.converged = True
             return v, report
-        if it == config.max_outer:
+        if res < best[0]:
+            best = (res, it, v)
+        if it == config.max_outer or it - best[1] >= STALL_STEPS:
             break
         inner_rtol = max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
         if use_multigrid:
-            precondition = multigrid.VCycle(domain, matrix, params.structure)
+            precondition = multigrid.VCycle(domain, matrix)
         elif params.p < 2.0:  # the unbounded coefficient the plain Poisson inverse misses
             c = config.eta + 0.5 * (a_plus[domain.interior] + a_minus[domain.interior])
             precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
@@ -665,10 +674,12 @@ def solve(
             theta *= 0.5
             report.backtracks += 1
         v, e_cur = trial, e_next
+    failure = (f"no convergence in {config.max_outer}" if it == config.max_outer
+               else f"no new best residual in {STALL_STEPS}")
     raise NoConvergence(
-        f"no convergence in {config.max_outer} outer iterations "
-        f"(relative residual {report.final_residual:.3e})",
-        field=v,
+        f"{failure} outer iterations (relative residual {report.final_residual:.3e}, "
+        f"best {best[0]:.3e} at step {best[1]})",
+        field=best[2],
         report=report,
     )
 

@@ -185,6 +185,26 @@ def test_grid_ceiling_follows_the_law_and_the_memory(monkeypatch):
         cli._check_grid_memory("audit", cli.load_config(None, ["audit.n=8"]))
 
 
+def test_sweep_memory_check_counts_the_pool_s_processes(tmp_path, capsys, monkeypatch):
+    # a sweep solves up to min(workers, CPUs) points at once, one per process:
+    # memory for one and a half solves takes one worker but not two
+    from pstruct import solver
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    one = solver.peak_memory_estimate(8, "full")
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1.5 * one)
+    assert run_cli("sweep", *sweep_args(tmp_path, "--set", "sweep.workers=1")) == 0
+    out = tmp_path / "two"
+    assert run_cli("sweep", *sweep_args(tmp_path, "--set", "sweep.workers=2",
+                                        "--set", f"output.directory={out}")) == 2
+    err = capsys.readouterr().err
+    assert "[domain] n" in err and "memory available" in err
+    assert not out.exists()
+    # more workers than CPUs start no more processes than the CPUs
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2 * one)
+    cli._check_grid_memory("sweep", cli.load_config(None, ["domain.n=8", "sweep.workers=64"]))
+
+
 def test_available_memory_takes_the_cgroup_limit(tmp_path, monkeypatch):
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     limit, unlimited = tmp_path / "memory.max", tmp_path / "unlimited"

@@ -4,6 +4,9 @@ Analytic fields are differentiated by hand inline; convergence checks compare
 n = 16 against n = 32 and expect error ratios near 4 (second order).
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,6 +343,36 @@ def test_serialization_round_trip(tmp_path, fmt):
         dom2, u2 = g.load_field(path)
         assert dom2 == dom
         assert np.array_equal(u2, u)
+
+
+# every kind of double a field file must carry: signed zeros, the smallest
+# and largest subnormals, the extremes of the normal range, infinities and a
+# one-ulp step above 1
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                           2.2250738585072014e-308, np.finfo(float).max,
+                           -np.finfo(float).max, np.inf, -np.inf, 1.0 + 2.0**-52])
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(8, 10),
+       components=st.sampled_from([(), (3,), (3, 3)]),
+       values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=64),
+       seed=st.integers(0, 2**32 - 1))
+def test_serialization_round_trips_every_double_bit_for_bit(kind, n, components, values,
+                                                             seed):
+    dom = g.build_domain(kind, n)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(components + dom.shape) * 10.0 ** rng.integers(-300, 300)
+    pool = np.concatenate((SPECIAL_VALUES, values))
+    u.flat[rng.choice(u.size, pool.size, replace=False)] = pool
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("bin", "csv"):
+            path = Path(tmp) / f"field.{fmt}"
+            g.save_field(path, dom, u, fmt=fmt)
+            dom2, u2 = g.load_field(path)
+            assert dom2 == dom
+            assert u2.shape == u.shape
+            assert np.array_equal(u2.view(np.uint64), u.view(np.uint64))
 
 
 def test_serialization_scalar_component(tmp_path):

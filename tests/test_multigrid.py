@@ -1,5 +1,6 @@
-"""Tests for the Galerkin multigrid preconditioner: the interpolation
-hierarchy, the coarse operators and the V-cycle as an SPD preconditioner.
+"""Tests for the Galerkin multigrid preconditioner of the full law: the
+interpolation hierarchy, the coarse operators and the V-cycle as an SPD
+preconditioner.
 
 References are independent of the implementation's products: dense matrix
 products on the small grids, a differently associated sparse product on the
@@ -14,7 +15,7 @@ from pstruct import grid, multigrid, problems, solver
 from pstruct.constitutive import ConstitutiveParams
 
 KINDS = ["dirichlet_box", "cubic_periodic"]
-MODES = ["full", "symmetric"]
+MODES = ["full"]  # the one law whose solves switch to the cycle
 SIZES = [8, 9, 10, 11, 12, 16]
 
 
@@ -73,13 +74,9 @@ def test_interpolation_reproduces_constants_away_from_walls(kind, n):
 def test_coarse_operators_are_galerkin_products(kind, mode, n):
     dom = grid.build_domain(kind, n)
     matrix = frozen_matrix(dom, mode, eta=1e-3)
-    cycle = multigrid.VCycle(dom, matrix, mode)
-    fine = cycle.operators[0]
-    if mode == "full":
-        # three equal uncoupled blocks; the cycle runs on one of them
-        assert (sp.kron(sp.identity(3), fine) != matrix).nnz == 0
-    else:
-        assert (fine != matrix).nnz == 0
+    cycle = multigrid.VCycle(dom, matrix)
+    # three equal uncoupled blocks; the cycle runs on one of them
+    assert (sp.kron(sp.identity(3), cycle.operators[0]) != matrix).nnz == 0
     assert len(cycle.operators) == len(cycle.interpolations) + 1
     for a, p, coarse in zip(cycle.operators, cycle.interpolations, cycle.operators[1:]):
         if a.shape[0] <= 5000:
@@ -96,7 +93,7 @@ def test_coarse_operators_are_galerkin_products(kind, mode, n):
 def test_vcycle_is_symmetric_and_positive(kind, mode, n):
     dom = grid.build_domain(kind, n)
     matrix = frozen_matrix(dom, mode, eta=0.0)
-    cycle = multigrid.VCycle(dom, matrix, mode)
+    cycle = multigrid.VCycle(dom, matrix)
     rng = np.random.default_rng(n)
     x, y = rng.standard_normal((2, matrix.shape[0]))
     mx, my = cycle(x), cycle(y)
@@ -113,7 +110,7 @@ def test_vcycle_is_symmetric_and_positive(kind, mode, n):
 def test_multigrid_iterations_do_not_grow_with_contrast(mode):
     # frozen coefficients of mu = 0 solves at eta = 1e-6: their contrast grows
     # as p falls, and so does the scaled Poisson inverse's PCG count (14 to
-    # 144 iterations on the full law); the Galerkin cycle's stays flat
+    # 144 iterations); the Galerkin cycle's stays flat
     dom = grid.build_domain("dirichlet_box", 12)
     f = grid.apply_constraints(dom, problems.rhs_sample(dom, "smooth-trig"))
     b = solver._free(dom, f)
@@ -129,7 +126,7 @@ def test_multigrid_iterations_do_not_grow_with_contrast(mode):
         scaled = solver._preconditioner(dom, np.tile(c.ravel() ** -0.5, 3))
         counts = [solver._pcg(dom, matrix.dot, precondition, b, np.zeros_like(b), b,
                               1e-8, 500)[1]
-                  for precondition in (multigrid.VCycle(dom, matrix, mode), scaled)]
+                  for precondition in (multigrid.VCycle(dom, matrix), scaled)]
         rows.append((c.max() / c.min(), *counts))
     (low, mg_low, _), (high, mg_high, scaled_high) = rows
     assert high > 10.0 * low

@@ -442,6 +442,25 @@ def test_budget_exhaustion_raises_no_convergence():
     assert exc.value.field.shape == (3,) + dom.shape
 
 
+def test_stagnating_solve_stops_well_before_its_cap():
+    # at p = 4, mu = 0, eta = 1e-8 the residual reaches its best, 4.8e-6, at
+    # step 36 and then wanders up to 1.8e-5: without the guard the solve ran
+    # all 300 steps of its cap
+    dom = grid.build_domain("dirichlet_box", 16)
+    prob = make_problem(dom, 4.0, 0.0)
+    cfg = solver.SolveConfig(eta=1e-8, outer_tol=1e-10, max_outer=300)
+    with pytest.raises(NoConvergence, match="no new best residual") as exc:
+        solver.solve(prob, cfg)
+    history = exc.value.report.residual_history
+    best = int(np.argmin(history))
+    assert exc.value.report.iterations == best + solver.STALL_STEPS < 100
+    assert min(history[best + 1:]) > history[best]
+    # the error carries the best iterate, not the last
+    f = prob.forcing()
+    r = solver.residual(dom, prob.params, cfg.eta, exc.value.field, f)
+    assert np.linalg.norm(r) / np.linalg.norm(f) == pytest.approx(history[best], rel=1e-6)
+
+
 @pytest.mark.parametrize("mu, eta", [(float("nan"), 0.0), (0.1, float("nan"))])
 def test_solve_raises_on_non_finite_residual_or_energy(mu, eta):
     # at p = 2 a nan mu leaves the coefficient nan**0 == 1, so only the
