@@ -436,6 +436,7 @@ def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
         "solve": {"iterations": rep.iterations, "final_residual": rep.final_residual},
         "ratio_max": check["ratio_max"],
         "ratio_mean": check["ratio_mean"],
+        "mean_excluded": check["mean_excluded"],
         "residual_rel": check["residual_rel"],
         "reconstruction_rel_l2": check["reconstruction_rel_l2"],
         "reconstruction_rel_median": check["reconstruction_rel_median"],

@@ -1,9 +1,17 @@
 """Nonlinear solves of -eta*Lap(v) - div[(mu+|Gv|)^(p-2) Gv] = f.
 
-Outer loop: Kacanov (frozen secant coefficient) iteration, guarded by a
-backtracking line search on the discrete energy.  Each iterate's one-sided
-gradient pair is built once: the line search builds it for the trial it
-accepts, and the next step's coefficient is computed from that same pair.
+Outer loop: Kacanov (frozen secant coefficient) iteration, Anderson-
+accelerated under an energy safeguard.  The Kacanov map is x -> g(x) =
+K(x)^{-1} b on the free-DOF vectors; with f = g(x) - x, each step keeps the
+last ANDERSON_DEPTH differences dF and dG of f and g (Walker and Ni, SIAM J.
+Numer. Anal. 49, 2011) and tries the candidate g_k - dG gamma, gamma the
+least-squares solution of dF gamma = f_k.  The candidate is the next iterate
+if its energy is finite and at most the current one plus a roundoff slack.
+Otherwise the history is dropped and the step is the plain Kacanov one,
+guarded by a backtracking line search on the energy; a step shortened by it
+drops the history as well.  Each iterate's one-sided gradient pair is built
+once: the step builds it for the candidate or trial it accepts, and the next
+step's coefficient is computed from that same pair.
 Only the residual and energy histories are recorded per step; norms of the
 solution are the caller's, on the converged field.  Inner loop: one
 preconditioned conjugate gradient solve, _pcg, on flat vectors over the free
@@ -109,6 +117,10 @@ INNER_MAXITER = 20000
 # solve on the n = 16 box is best at step 36, then wanders until its cap.
 STALL_STEPS = 50
 
+# Anderson acceleration of the outer steps keeps this many differences of
+# the Kacanov map's iterates and images; 0 makes every step a plain one
+ANDERSON_DEPTH = 5
+
 # frozen_linear_solve's fixed-point sweep: relative update target and cap
 FROZEN_TOL = 1e-11
 FROZEN_MAX_ITER = 600
@@ -136,10 +148,12 @@ FROZEN_MAX_ITER = 600
 MULTIGRID_AFTER = 4
 
 # Peak resident bytes per grid node of a solve: the assembly's build (sorted
-# triplets of the law and of the eta term), the gradient pairs and, on the
-# full law only, the multigrid levels.  ru_maxrss over a fresh process on the
-# box at n = 16, 24 and 32 gave 2.4-2.9 KB on the full law and 5.8-7.1 KB on
-# the symmetric law, growing slowly with n; these are rounded up.
+# triplets of the law and of the eta term), the gradient pairs, the Anderson
+# history and, on the full law only, the multigrid levels.  ru_maxrss over a
+# fresh process, less its value before the solve, for a p = 1.4, mu = 0,
+# eta = 1e-4 solve on the box at n = 16, 24 and 32 gave 2.8-2.9 KB on the full
+# law and 6.6-7.0 KB on the symmetric law, growing slowly with n, the same
+# with the history off (ANDERSON_DEPTH = 0); these are rounded up.
 PEAK_BYTES_PER_NODE = {"full": 4096, "symmetric": 8192}
 
 
@@ -215,7 +229,10 @@ class SolveReport:
     floor_active: bool = False
     inner_iterations: int = 0
     backtracks: int = 0
-    # a continuation's sums over its path: solves, outer, inner, backtracks
+    accelerated: int = 0  # accepted Anderson candidates
+    restarts: int = 0  # rejected candidates, each of which drops the history
+    # a continuation's sums over its path: solves, outer, inner, backtracks,
+    # accelerated and restarts
     path_totals: Optional[dict] = None
 
     def to_dict(self) -> dict:
@@ -232,6 +249,8 @@ class SolveReport:
             "floor_active": self.floor_active,
             "inner_iterations": self.inner_iterations,
             "backtracks": self.backtracks,
+            "accelerated": self.accelerated,
+            "restarts": self.restarts,
         }
         if self.path_totals is not None:
             out["path_totals"] = dict(self.path_totals)
@@ -627,12 +646,14 @@ def solve(
     e_cur = energy(v, problem, config.eta, pair)
     use_multigrid = False
     best = (np.inf, 0, v)  # relative residual, step and iterate
+    # Anderson differences of f and g, their Gram matrix and the last (f, g)
+    dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
     for it in range(config.max_outer + 1):
         a_plus, a_minus, hit = coefficient_field(domain, params, v, pair)
         report.floor_active |= hit
         matrix = _frozen_matrix(domain, a_plus, a_minus, config.eta, params.structure)
-        x = _free(domain, v)
-        r = b - matrix.dot(x)
+        x_cur = _free(domain, v)
+        r = b - matrix.dot(x_cur)
         res = _require_finite(_l2(r) / fnorm, "relative residual")
         _require_finite(e_cur, "energy")
         report.residual_history.append(res)
@@ -654,16 +675,44 @@ def solve(
             precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
         else:
             precondition = _preconditioner(domain)
-        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x, r, inner_rtol,
+        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x_cur, r, inner_rtol,
                            INNER_MAXITER)
         report.inner_iterations += inner_it
         use_multigrid |= (params.p < 2.0 and params.structure == "full"
                           and inner_it > MULTIGRID_AFTER)
+        # Anderson: the candidate g_k - dG gamma, gamma = argmin |f_k - dF gamma|
+        # over the last ANDERSON_DEPTH differences of f = g - x and of g, with
+        # the Gram matrix dF^T dF grown by one row and column per difference
+        fk = x - x_cur
+        if last is not None:
+            dfs.append(fk - last[0])
+            dgs.append(x - last[1])
+            gram = np.pad(gram, (0, 1))
+            gram[-1] = gram[:, -1] = [np.sum(d * dfs[-1]) for d in dfs]
+            if len(dfs) > ANDERSON_DEPTH:
+                del dfs[0], dgs[0]
+                gram = gram[1:, 1:]
+        last = (fk, x)
+        # the slack only absorbs float cancellation in the energy
+        slack = 1e-12 * (1.0 + abs(e_cur))
+        if dfs:
+            gamma = np.linalg.lstsq(gram, [np.sum(d * fk) for d in dfs], rcond=1e-12)[0]
+            candidate = x.copy()
+            for gj, dg in zip(gamma, dgs):
+                candidate -= gj * dg
+            trial = _field(domain, candidate)
+            pair = _pm_gradients(domain, trial)
+            e_next = energy(trial, problem, config.eta, pair)
+            if np.isfinite(e_next) and e_next <= e_cur + slack:
+                report.accelerated += 1
+                v, e_cur = trial, e_next
+                continue
+            report.restarts += 1
+            dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
         delta = _field(domain, x) - v
         # the Kacanov step is a strict descent direction of the (exactly
-        # consistent) energy; the slack only absorbs float cancellation.  After
-        # 40 halvings the step is taken regardless.
-        slack = 1e-12 * (1.0 + abs(e_cur))
+        # consistent) energy.  After 40 halvings the step is taken regardless;
+        # a shortened step drops the history's last pair.
         theta = 1.0
         for halvings in range(41):
             trial = v + theta * delta
@@ -673,6 +722,8 @@ def solve(
                 break
             theta *= 0.5
             report.backtracks += 1
+        if halvings:
+            last = None
         v, e_cur = trial, e_next
     failure = (f"no convergence in {config.max_outer}" if it == config.max_outer
                else f"no new best residual in {STALL_STEPS}")
@@ -690,8 +741,8 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
     Records (eta, mu, ||D^2 v||_2, ||v_j - v_{j-1}||_{1,2}) per step and
     raises PathStalled when the step change grows three times in a row.
     Returns the last step's field and SolveReport, with the trace and the
-    path's summed solves, outer and inner iterations and backtracks
-    (path_totals) attached.
+    path's summed solves, outer and inner iterations, backtracks, accepted
+    Anderson candidates and restarts (path_totals) attached.
     """
     path = config.continuation
     if path is None:
@@ -701,7 +752,8 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
     trace = []
     growth = 0
     report = None
-    totals = dict.fromkeys(("solves", "outer", "inner", "backtracks"), 0)
+    totals = dict.fromkeys(("solves", "outer", "inner", "backtracks", "accelerated",
+                            "restarts"), 0)
     prev_delta = None
     for eta_j, mu_j in zip(path.eta_path, path.mu_path):
         params_j = replace(problem.params, mu=mu_j)
@@ -712,6 +764,8 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
         totals["outer"] += report.iterations
         totals["inner"] += report.inner_iterations
         totals["backtracks"] += report.backtracks
+        totals["accelerated"] += report.accelerated
+        totals["restarts"] += report.restarts
         d2n = g.norm(problem.domain, g.second_derivatives(problem.domain, v_new))
         delta = None  # no step change for the path's first solve
         if v is not None:

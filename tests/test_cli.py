@@ -447,7 +447,10 @@ def test_continuation_report_sums_the_path(tmp_path, monkeypatch):
         "outer": sum(rep.iterations for rep in steps),
         "inner": sum(rep.inner_iterations for rep in steps),
         "backtracks": sum(rep.backtracks for rep in steps),
+        "accelerated": sum(rep.accelerated for rep in steps),
+        "restarts": sum(rep.restarts for rep in steps),
     }
+    assert result["path_totals"]["accelerated"] > 0
     assert len(steps) == len(result["continuation_trace"]) > 1
     assert result["path_totals"]["outer"] > result["iterations"]
     monkeypatch.setattr(cli.solver, "solve", solve)

@@ -208,3 +208,24 @@ def test_bound_check_on_converged_solve():
     assert stats[24] < 0.08
     # 16 -> 24 refines h by 1.5, so an O(h^2) gap shrinks by about 2.25
     assert stats[16] / stats[24] > 1.8
+
+
+def test_ratio_mean_is_stable_under_roundoff_scaling():
+    # the README reconstruct example's solution: scaling it by 1 +- 1e-13
+    # moved the mean over all interior nodes by up to 1.4e-5 relative,
+    # through the few nodes whose denominator is at roundoff, which the mean
+    # leaves out
+    dom = grid.build_domain("cubic_periodic", 16)
+    f = problems.rhs_sample(dom, "smooth-trig", 1.0)
+    params = ConstitutiveParams(p=2.6, mu=0.1, structure="symmetric")
+    u, _ = solver.solve(problems.ProblemSpec(dom, params, f=f), solver.SolveConfig())
+    checks = [reconstruct.pointwise_bound_check(dom, s * u, f, 2.6, 0.1, structure="symmetric")
+              for s in (1.0, 1.0 + 1e-13, 1.0 - 1e-13)]
+    base = checks[0]["ratio_mean"]
+    inner = checks[0]["ratio"][dom.interior]
+    assert 0 < checks[0]["mean_excluded"] < 0.01 * inner.size
+    # the left-out nodes carry a visible share of the mean over all nodes
+    assert abs(float(np.mean(inner)) - base) > 1e-6 * base
+    for check in checks[1:]:
+        assert abs(check["ratio_mean"] - base) <= 1e-11 * base
+        assert check["mean_excluded"] == checks[0]["mean_excluded"]

@@ -442,10 +442,11 @@ def test_budget_exhaustion_raises_no_convergence():
     assert exc.value.field.shape == (3,) + dom.shape
 
 
-def test_stagnating_solve_stops_well_before_its_cap():
-    # at p = 4, mu = 0, eta = 1e-8 the residual reaches its best, 4.8e-6, at
-    # step 36 and then wanders up to 1.8e-5: without the guard the solve ran
-    # all 300 steps of its cap
+def test_stagnating_solve_stops_well_before_its_cap(monkeypatch):
+    # with plain Kacanov steps, at p = 4, mu = 0, eta = 1e-8 the residual
+    # reaches its best, 4.8e-6, at step 36 and then wanders up to 1.8e-5:
+    # without the guard the solve ran all 300 steps of its cap
+    monkeypatch.setattr(solver, "ANDERSON_DEPTH", 0)
     dom = grid.build_domain("dirichlet_box", 16)
     prob = make_problem(dom, 4.0, 0.0)
     cfg = solver.SolveConfig(eta=1e-8, outer_tol=1e-10, max_outer=300)
@@ -459,6 +460,19 @@ def test_stagnating_solve_stops_well_before_its_cap():
     f = prob.forcing()
     r = solver.residual(dom, prob.params, cfg.eta, exc.value.field, f)
     assert np.linalg.norm(r) / np.linalg.norm(f) == pytest.approx(history[best], rel=1e-6)
+
+
+def test_accelerated_solve_of_the_stagnating_reproducer_converges():
+    # the solve above, with the Anderson-accelerated steps
+    dom = grid.build_domain("dirichlet_box", 16)
+    prob = make_problem(dom, 4.0, 0.0)
+    cfg = solver.SolveConfig(eta=1e-8, outer_tol=1e-10, max_outer=300)
+    v, report = solver.solve(prob, cfg)
+    assert report.converged and report.iterations < 50
+    assert report.accelerated > 0
+    f = prob.forcing()
+    r = solver.residual(dom, prob.params, cfg.eta, v, f)
+    assert np.linalg.norm(r) <= cfg.outer_tol * np.linalg.norm(f)
 
 
 @pytest.mark.parametrize("mu, eta", [(float("nan"), 0.0), (0.1, float("nan"))])
@@ -489,9 +503,12 @@ def test_accepted_trial_energy_is_carried_forward(monkeypatch):
     cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10)
     v, report = solver.solve(prob, cfg)
     assert report.iterations > 3
-    # one evaluation per accepted trial or rejected backtrack, plus the start;
-    # the accepted trial's gradient pair also gives the next coefficient
-    assert calls["energy"] == calls["pair"] == 1 + report.iterations + report.backtracks
+    # one evaluation per accepted trial, rejected backtrack or rejected
+    # Anderson candidate, plus the start; the accepted trial's gradient pair
+    # also gives the next coefficient
+    assert report.accelerated > 0
+    assert calls["energy"] == calls["pair"] == (1 + report.iterations + report.backtracks
+                                                + report.restarts)
     assert report.energy_history[-1] == energy(v, prob, cfg.eta)
 
 
@@ -516,6 +533,72 @@ def test_exhausted_line_search_takes_the_smallest_step(monkeypatch):
     # way would be 2^-39 or 2^-41
     ratio = np.linalg.norm(last - start) / np.linalg.norm(2.0**-40 * (full - start))
     assert ratio == pytest.approx(1.0, rel=0.1)
+
+
+def test_rejected_candidate_takes_the_kacanov_step_and_clears_the_history(monkeypatch):
+    # the first Anderson candidate, on the second outer step, is penalised:
+    # that step falls back to the full Kacanov step, the next step has no
+    # history and so no candidate, and the one after has a candidate again
+    dom = grid.build_domain("dirichlet_box", 12)
+    prob = make_problem(dom, 1.5, 0.1)
+    pcg, energy = solver._pcg, solver.energy
+    images, trials = [], []  # each inner solve's field; each step's trials
+
+    def recording_pcg(*args):
+        x, k = pcg(*args)
+        images.append(solver._field(dom, x))
+        trials.append([])
+        return x, k
+
+    def penalising_energy(v, *args):
+        if trials:
+            trials[-1].append(v)
+        return energy(v, *args) + (1.0 if len(trials) == 2 and len(trials[1]) == 1 else 0.0)
+
+    monkeypatch.setattr(solver, "_pcg", recording_pcg)
+    monkeypatch.setattr(solver, "energy", penalising_energy)
+    v, report = solver.solve(prob, solver.SolveConfig(eta=1e-3, outer_tol=1e-10))
+    assert report.converged and report.restarts == 1 and report.backtracks == 0
+
+    def is_kacanov(step, trial):  # v + 1 * (image - v) equals the image to roundoff
+        return np.max(np.abs(trial - images[step])) <= 1e-12 * np.max(np.abs(images[step]))
+
+    assert [len(t) for t in trials[:4]] == [1, 2, 1, 1]
+    assert [is_kacanov(k, t[0]) for k, t in enumerate(trials[:4])] == [True, False, True, False]
+    assert is_kacanov(1, trials[1][1])
+    # every later step accepts its candidate, and each step's accepted trial
+    # is its last one
+    assert report.accelerated == report.iterations - 3
+    assert all(len(t) == 1 for t in trials[2:])
+    f = prob.forcing()
+    r = solver.residual(dom, prob.params, 1e-3, v, f)
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("kind, p, mu, structure, eta", [
+    ("dirichlet_box", 1.4, 0.0, "full", 1e-3),
+    ("cubic_periodic", 1.5, 0.1, "symmetric", 0.0),
+    ("dirichlet_box", 3.0, 0.1, "full", 0.0),
+    ("cubic_periodic", 2.6, 0.5, "symmetric", 1e-3),
+])
+def test_accelerated_energy_never_rises_past_the_slack(kind, p, mu, structure, eta):
+    dom = grid.build_domain(kind, 12)
+    _, report = solver.solve(make_problem(dom, p, mu, structure=structure),
+                             solver.SolveConfig(eta=eta, outer_tol=1e-10))
+    assert report.converged and report.accelerated > 0
+    ene = report.energy_history
+    assert all(e2 <= e1 + 1e-12 * (1.0 + abs(e1)) for e1, e2 in zip(ene, ene[1:]))
+
+
+def test_two_runs_of_an_accelerated_solve_are_bit_identical():
+    dom = grid.build_domain("cubic_periodic", 12)
+    prob = make_problem(dom, 1.4, 0.0, rhs_id="band-limited-random", seed=3)
+    path = solver.ContinuationPath.geometric(eta0=1e-2, mu0=0.0, eta_floor=1e-4, mu_floor=0.0)
+    cfg = solver.SolveConfig(outer_tol=1e-10, continuation=path)
+    (v1, rep1), (v2, rep2) = (solver.continuation_solve(prob, cfg) for _ in range(2))
+    assert rep1.path_totals["accelerated"] > 0
+    assert np.array_equal(v1, v2)
+    assert json.dumps(rep1.to_dict()) == json.dumps(rep2.to_dict())
 
 
 # ---------------------------------------------------------------- energy
@@ -557,6 +640,55 @@ def test_energy_gradient_is_the_operator(p, mu, eta, mode):
     f = prob.forcing()
     an = dom.h ** 3 * np.sum((solver.apply_operator(dom, prob.params, eta, v) - f) * w)
     assert abs(fd - an) <= 1e-5 * abs(an)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["dirichlet_box", "cubic_periodic"]),
+       mode=st.sampled_from(["full", "symmetric"]), p=st.sampled_from([1.4, 1.8, 2.5, 4.0]),
+       mu=st.sampled_from([0.0, 0.1, 1.0]), eta=st.sampled_from([0.0, 1e-3, 0.5]),
+       scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_energy_gradient_is_apply_pm_on_random_fields(kind, mode, p, mu, eta, scale, seed):
+    # the safeguard that accepts a step on its energy rests on this identity
+    dom = grid.build_domain(kind, 9)
+    prob = make_problem(dom, p, mu, structure=mode)
+    rng = np.random.default_rng(seed)
+    v, w = (grid.apply_constraints(dom, scale * rng.standard_normal((3,) + dom.shape))
+            for _ in range(2))
+    s = 1e-4 * scale
+
+    def central(k):
+        return solver.energy(v + k * s * w, prob, eta) - solver.energy(v - k * s * w, prob, eta)
+
+    fd = (8.0 * central(1) - central(2)) / (12.0 * s)  # fourth-order central difference
+    a_plus, a_minus, _ = solver.coefficient_field(dom, prob.params, v)
+    op = solver._apply_pm(dom, a_plus, a_minus, eta, mode, v)
+    an = dom.h ** 3 * np.sum((op - prob.forcing()) * w)
+    assert abs(fd - an) <= 1e-6 * abs(an)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["dirichlet_box", "cubic_periodic"]),
+       mode=st.sampled_from(["full", "symmetric"]), mu=st.floats(0.0, 10.0),
+       eta=st.sampled_from([0.0, 1e-3, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_p2_collapses_onto_the_linear_operator_on_random_fields(kind, mode, mu, eta, seed):
+    # at p = 2 every mu gives the face masks as coefficients, the operator is
+    # the frozen one with unit coefficient (on the full law -(1 + eta) Lap),
+    # and the energy is its quadratic form
+    dom = grid.build_domain(kind, 9)
+    prob = make_problem(dom, 2.0, mu, structure=mode)
+    rng = np.random.default_rng(seed)
+    v = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
+    a_plus, a_minus, _ = solver.coefficient_field(dom, prob.params, v)
+    mp, mm = grid.face_masks(dom)
+    assert np.array_equal(a_plus, mp) and np.array_equal(a_minus, mm)
+    op = solver.apply_operator(dom, prob.params, eta, v)
+    assert np.array_equal(op, solver.apply_linear(dom, np.ones(dom.shape), eta, mode, v))
+    if mode == "full":
+        lap = -(1.0 + eta) * grid.apply_constraints(dom, grid.laplacian(dom, v))
+        assert np.linalg.norm(op - lap) <= 1e-12 * np.linalg.norm(lap)
+    f = prob.forcing()
+    quadratic = dom.h ** 3 * (0.5 * np.sum(op * v) - np.sum(f * v))
+    assert solver.energy(v, prob, eta) == pytest.approx(quadratic, rel=1e-12)
 
 
 # ---------------------------------------------------------------- continuation
@@ -724,6 +856,11 @@ def test_multigrid_switch_cuts_pcg_iterations_further(monkeypatch):
     assert _inner_total(switch) < _inner_total(_short_p14_path(monkeypatch, "scaled"))
 
 
+# (outer, inner) iterations of criterion 5's p = 3 solve at each eta; plain
+# Kacanov steps took (177, 187) at both
+PINNED_P3_COUNTS = {0.0: (20, 65), 1e-3: (20, 64)}
+
+
 @pytest.mark.parametrize("eta", [0.0, 1e-3])
 def test_p3_manufactured_counts_unchanged(eta):
     """p >= 2 keeps the plain Poisson preconditioner: the acceptance
@@ -736,7 +873,7 @@ def test_p3_manufactured_counts_unchanged(eta):
         problems.ProblemSpec(dom, params, f=f),
         solver.SolveConfig(eta=eta, outer_tol=1e-9, max_outer=300),
     )
-    assert (report.iterations, report.inner_iterations) == (177, 187)
+    assert (report.iterations, report.inner_iterations) == PINNED_P3_COUNTS[eta]
 
 
 def _recording_pcg(monkeypatch, forced_rtol=None):
@@ -805,7 +942,9 @@ def test_no_hierarchy_at_p_at_least_2_or_on_the_symmetric_law(monkeypatch, p, st
 def test_periodic_joint_path_beats_the_plain_poisson_inverse(monkeypatch):
     """The joint (eta, mu) tail on the slab at odd n: the coefficient-scaled
     inverse alone took more PCG iterations here than the plain one (575
-    against 542); with the switch to multigrid the path takes fewer."""
+    against 542); with the switch to multigrid the path takes fewer.  The
+    preconditioners are compared on plain Kacanov steps, which the
+    accelerated path needs more of."""
     dom = grid.build_domain("cubic_periodic", 9)
     prob = make_problem(dom, 1.5, 0.0)
     path = solver.ContinuationPath.geometric(eta0=2e-6, mu0=2e-6, eta_floor=1e-8, mu_floor=1e-8)
@@ -815,9 +954,13 @@ def test_periodic_joint_path_beats_the_plain_poisson_inverse(monkeypatch):
     def plain_pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
         return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, r0, rtol, maxiter)
 
+    _, accelerated = solver.continuation_solve(prob, cfg)
+    monkeypatch.setattr(solver, "ANDERSON_DEPTH", 0)
     _, ours = solver.continuation_solve(prob, cfg)
     monkeypatch.setattr(solver, "_pcg", plain_pcg)
     _, plain = solver.continuation_solve(prob, cfg)
     assert ours.path_totals["solves"] == plain.path_totals["solves"] == len(path.eta_path)
     assert abs(ours.path_totals["outer"] - plain.path_totals["outer"]) <= 2
     assert ours.path_totals["inner"] < 0.75 * plain.path_totals["inner"]
+    assert ours.path_totals["accelerated"] == plain.path_totals["accelerated"] == 0
+    assert accelerated.path_totals["outer"] < ours.path_totals["outer"]
