@@ -15,9 +15,18 @@ linearly along each axis between the enclosing coarse nodes, periodically on
 periodic axes and to zero at walls, and the 3D P is the Kronecker product of
 the three, in _frozen_matrix's node order.  Coarsening stops at
 COARSEST_NODES nodes or fewer, which are solved by a dense Cholesky factor.
-interpolations(domain) depends on the domain only and is cached; it is built
-on the first V-cycle's set-up, never at import or by the matrix-free
-operators.
+
+Set-up.  Every level's pattern is fixed by the domain, and P^T A P is linear
+in A's CSR data: one sparse map per level takes a level's data to the next
+coarser level's, so a set-up costs one sparse mat-vec per level, the
+smoothers' diagonals and row sums, and the coarsest factor (0.4-0.7 ms on
+the box and 0.6-0.9 ms on the slab at n = 16, about half of what two sparse
+matrix products per level took).  The fine pattern is the full law's 7-point
+one; VCycle raises ValueError on a matrix with another, whose data the maps
+would misread.  interpolations(domain) and the maps, _levels(domain), depend
+on the domain only and are cached; they are built on the first V-cycle's
+set-up (about 35-80 ms at n = 16, 0.4-0.7 s at n = 32), never at import or
+by the matrix-free operators.
 
 Smoother.  Two damped Jacobi sweeps before and two after the coarse
 correction, x += OMEGA D^{-1} (r - A x), with D the larger of the diagonal
@@ -39,6 +48,7 @@ solver.MULTIGRID_AFTER).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -106,38 +116,117 @@ def interpolations(domain: DomainSpec) -> tuple:
     return tuple(out)
 
 
+def _fine_pattern(domain: DomainSpec) -> sp.csr_matrix:
+    """The pattern of the full law's scalar block: every free node and its
+    free neighbours along each axis, in interpolations' node order."""
+    steps = []
+    for ax in range(3):
+        if domain.is_periodic(ax):
+            m = domain.shape[ax]
+            steps.append(sp.diags([1.0] * 5, [1 - m, -1, 0, 1, m - 1], shape=(m, m)))
+        else:
+            m = domain.shape[ax] - 2
+            steps.append(sp.diags([1.0] * 3, [-1, 0, 1], shape=(m, m)))
+    eye = [sp.identity(t.shape[0]) for t in steps]
+    pattern = (sp.kron(steps[0], sp.kron(eye[1], eye[2]))
+               + sp.kron(eye[0], sp.kron(steps[1], eye[2]))
+               + sp.kron(eye[0], sp.kron(eye[1], steps[2]))).tocsr()
+    pattern.sum_duplicates()
+    return pattern
+
+
+def _galerkin_map(pattern: sp.csr_matrix, p: sp.csr_matrix):
+    """The CSR pattern of P^T A P for every A on pattern, and the sparse map
+    from A's data to its data: coarse entry (I, J) sums P[k, I] P[l, J] a_kl
+    over the entries kl of A, in the order of A's data."""
+    # a pattern's data and P's are positive, so no entry of the product cancels
+    coarse = (p.T @ pattern @ p).tocsr()
+    coarse.sort_indices()
+    width = np.int64(coarse.shape[1])
+    rows, cols = coarse.nonzero()
+    keys = rows * width + cols
+    rows, cols = pattern.nonzero()
+    counts = np.diff(p.indptr)
+    row_counts, col_counts = counts[rows], counts[cols]
+    # the transposed map, filled in place: its row for entry kl holds the
+    # products of the s-th entry of P's row k with the t-th of its row l
+    indptr = np.concatenate(([0], np.cumsum(row_counts * col_counts)))
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for s in range(counts.max()):
+        for t in range(counts.max()):
+            e = np.flatnonzero((row_counts > s) & (col_counts > t))
+            ki, lj = p.indptr[rows[e]] + s, p.indptr[cols[e]] + t
+            at = indptr[e] + s * col_counts[e] + t
+            indices[at] = np.searchsorted(keys, p.indices[ki] * width + p.indices[lj])
+            data[at] = p.data[ki] * p.data[lj]
+    return coarse, sp.csr_matrix((data, indices, indptr), shape=(cols.size, keys.size)).T.tocsr()
+
+
+class _Level(NamedTuple):
+    """One level of a domain's hierarchy: its operators' CSR pattern and the
+    positions of their diagonal in its data; above the coarsest, also P, P^T
+    and the Galerkin map from the level's data to the next coarser level's."""
+
+    pattern: sp.csr_matrix
+    diagonal: np.ndarray
+    interpolation: Optional[sp.csr_matrix] = None
+    restriction: Optional[sp.csr_matrix] = None
+    galerkin: Optional[sp.csr_matrix] = None
+
+
+def _diagonal(pattern: sp.csr_matrix) -> np.ndarray:
+    rows, cols = pattern.nonzero()
+    return np.flatnonzero(rows == cols)
+
+
 @lru_cache(maxsize=4)
-def _transfers(domain: DomainSpec) -> tuple:
-    """(P, P^T) per level, so no set-up transposes P."""
-    return tuple((p, p.T.tocsr()) for p in interpolations(domain))
+def _levels(domain: DomainSpec) -> tuple:
+    """domain's hierarchy, finest level first, for VCycle's set-up."""
+    pattern = _fine_pattern(domain)
+    out = []
+    for p in interpolations(domain):
+        coarse, galerkin = _galerkin_map(pattern, p)
+        out.append(_Level(pattern, _diagonal(pattern), p, p.T.tocsr(), galerkin))
+        pattern = coarse
+    out.append(_Level(pattern, _diagonal(pattern)))
+    return tuple(out)
 
 
 class VCycle:
     """One V(2,2) cycle of the Galerkin hierarchy of a full-law frozen matrix,
     as a preconditioner on free-DOF vectors in _frozen_matrix's numbering.
 
-    matrix is _frozen_matrix(domain, ..., "full"); building the hierarchy
-    costs one Galerkin product per level and a dense Cholesky factor.
+    matrix is _frozen_matrix(domain, ..., "full"); a matrix on another
+    pattern (one put through eliminate_zeros, say) raises ValueError.
+    Building the hierarchy costs one sparse mat-vec per level through the
+    Galerkin maps cached per domain, the smoothers' diagonals and row sums,
+    and a dense Cholesky factor.
     """
 
     def __init__(self, domain: DomainSpec, matrix: sp.csr_matrix):
+        levels = _levels(domain)
+        fine = levels[0].pattern
         # rows of the first component couple no other: its block is the
         # leading slice of the CSR arrays
-        nodes = matrix.shape[0] // 3
-        end = matrix.indptr[nodes]
-        matrix = sp.csr_matrix(
-            (matrix.data[:end], matrix.indices[:end], matrix.indptr[: nodes + 1]),
-            shape=(nodes, nodes))
-        transfers = _transfers(domain)
-        self.interpolations = tuple(p for p, _ in transfers)
-        self.restrictions = tuple(r for _, r in transfers)
-        self.operators = [matrix]
+        nodes = fine.shape[0]
+        if (matrix.shape != (3 * nodes, 3 * nodes)
+                or not np.array_equal(matrix.indptr[: nodes + 1], fine.indptr)):
+            raise ValueError("VCycle needs a matrix with the pattern of the full law's "
+                             f"frozen matrix on {domain}")
+        data = matrix.data[: fine.nnz]
+        self.interpolations = tuple(level.interpolation for level in levels[:-1])
+        self.restrictions = tuple(level.restriction for level in levels[:-1])
+        self.operators = []
         self.smoothers = []
-        for p, r in transfers:
-            a = self.operators[-1]
-            half_l1 = 0.5 * np.add.reduceat(np.abs(a.data), a.indptr[:-1])
-            self.smoothers.append((OMEGA / np.maximum(a.diagonal(), half_l1))[:, None])
-            self.operators.append(r @ (a @ p))
+        for level in levels:
+            a = level.pattern
+            self.operators.append(sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape))
+            if level.galerkin is None:
+                break
+            half_l1 = 0.5 * np.add.reduceat(np.abs(data), a.indptr[:-1])
+            self.smoothers.append((OMEGA / np.maximum(data[level.diagonal], half_l1))[:, None])
+            data = level.galerkin @ data
         self.factor = sla.cho_factor(self.operators[-1].toarray())
 
     def __call__(self, r: np.ndarray) -> np.ndarray:

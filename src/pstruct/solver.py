@@ -58,9 +58,11 @@ map from w to the gradient_mode of its one-sided gradient.  _apply_pm
 evaluates it matrix-free and stays the reference: residual, apply_operator and
 apply_linear use it, so every solution is checked by an operator independent
 of the assembly.  The solves use the assembled form: per (domain, law) a
-cached sparsity pattern, a sparse linear map from the nodal coefficients to
-the CSR data and the data of the eta term, so each outer step fills the
-matrix with one sparse product and one scaled add.
+cached sparsity pattern and a sparse linear map from [a+, a-, eta] to the CSR
+data, the eta term being its last column, so each outer step fills the matrix
+with one sparse product (at eta = 0, by the map's leading columns alone).
+The full law's matrix is three equal uncoupled blocks: the map gives the
+first block's data, tiled three times.
 """
 
 from __future__ import annotations
@@ -129,15 +131,18 @@ FROZEN_MAX_ITER = 600
 # multigrid, for its remaining outer steps, after the first inner solve that
 # needs more than this many PCG iterations.  Measured at n = 16 on the full
 # law's box at a coefficient contrast of 82, in units of one Poisson apply
-# (0.70 ms): a scaled-Poisson PCG iteration costs 1.5 with its matrix product
-# and dot products, a hierarchy set-up 2.8 and a multigrid PCG iteration 1.9.
-# A multigrid inner solve there takes 2 iterations at rtol 0.1 (5 at 1e-4, 9
-# at 1e-8, against 11, 29 and 55 scaled), so it costs 2.8 + 2 * 1.9 = 6.6
-# units, and a scaled inner solve of more than 6.6 / 1.5 = 4.4 iterations
-# costs more (4.3 on the slab).  The inner tolerance tightens with the outer
-# residual, so a solve's later inner solves need more iterations than its
-# earlier ones: the switch is sticky.  The p < 2 solves of perfbench's
-# estimate-audit and parallel-sweep workloads need at most 4 and never switch.
+# (0.4-0.7 ms, medians of 8 runs): a scaled-Poisson PCG iteration costs 1.4
+# with its matrix product and dot products, a hierarchy set-up 1.0 (2.5 when
+# each set-up formed the Galerkin products; 1.5 against 3.3 on the slab) and
+# a multigrid PCG iteration 1.7.  A multigrid inner solve there takes 2
+# iterations at rtol 0.1 (5 at 1e-4, 9 at 1e-8, against 12, 32 and 56
+# scaled), so it costs 1.0 + 2 * 1.7 = 4.4 units, and a scaled inner solve of
+# more than 4.4 / 1.4 = 3.1 iterations costs more.  The inner tolerance
+# tightens with the outer residual, so a solve's later inner solves need more
+# iterations than its earlier ones: the switch is sticky.
+# The value stays 4: the p < 2 solves of perfbench's estimate-audit and
+# parallel-sweep workloads need at most 4 and never switch, and at 3 the ones
+# that need 4 would pay a set-up on every later outer step.
 #
 # Symmetric-law solves never switch, and the multigrid module has no cycle
 # for their coupled matrix.  A coupled cycle was measured at n = 16: its
@@ -149,11 +154,12 @@ MULTIGRID_AFTER = 4
 
 # Peak resident bytes per grid node of a solve: the assembly's build (sorted
 # triplets of the law and of the eta term), the gradient pairs, the Anderson
-# history and, on the full law only, the multigrid levels.  ru_maxrss over a
-# fresh process, less its value before the solve, for a p = 1.4, mu = 0,
-# eta = 1e-4 solve on the box at n = 16, 24 and 32 gave 2.8-2.9 KB on the full
-# law and 6.6-7.0 KB on the symmetric law, growing slowly with n, the same
-# with the history off (ANDERSON_DEPTH = 0); these are rounded up.
+# history and, on the full law only, the multigrid levels with their cached
+# Galerkin maps and the maps' build.  ru_maxrss over a fresh process, less its
+# value before the solve, for a p = 1.4, mu = 0, eta = 1e-4 solve on the box
+# at n = 16, 24 and 32 gave 2.9-3.0 KB on the full law (switched to
+# multigrid) and 5.6-6.0 KB on the symmetric law, growing slowly with n;
+# these are rounded up.
 PEAK_BYTES_PER_NODE = {"full": 4096, "symmetric": 8192}
 
 
@@ -393,15 +399,19 @@ def _local_stiffness(mode: str) -> np.ndarray:
 def _element_triplets(domain: DomainSpec, free: np.ndarray, mode: str):
     """(row * free DOFs + column, coefficient index, value) of every local
     stiffness entry at every base node and side whose face exists and whose
-    two DOFs are free.  Coefficient index s * nodes + node numbers a+ (s = 0)
-    then a- (s = 1)."""
-    stiffness = _local_stiffness(mode) / domain.h**2
+    two DOFs are free.  free numbers the DOFs of its leading axis's
+    components: all three, or the full law's first alone.  Coefficient index
+    s * nodes + node numbers a+ (s = 0) then a- (s = 1)."""
+    components = free.shape[0]
+    # the full law's stiffness couples no two components, so the leading
+    # 4 x 4 block is the first component's
+    stiffness = _local_stiffness(mode)[: 4 * components, : 4 * components] / domain.h**2
     size = int(free.max()) + 1
     nodes = np.arange(free[0].size, dtype=np.int32)
     parts = []
     for s, (side, mask) in enumerate(zip((1, -1), g.face_masks(domain))):
         local = [(free[i] if t == 0 else np.roll(free[i], -side, axis=t - 1)).ravel()
-                 for i in range(3) for t in range(4)]
+                 for i in range(components) for t in range(4)]
         face = mask.ravel() > 0.0
         for k1, k2 in zip(*np.nonzero(stiffness)):
             ok = face & (local[k1] >= 0) & (local[k2] >= 0)
@@ -412,19 +422,22 @@ def _element_triplets(domain: DomainSpec, free: np.ndarray, mode: str):
 
 class _Assembly(NamedTuple):
     """The frozen operator's CSR pattern over the free DOFs of one (domain,
-    law), the linear map from the nodal coefficients [a+, a-] to its data,
-    and the data of -Lap on the same pattern (the eta term)."""
+    law) and the linear map from [a+, a-, eta] to its data (on the full law,
+    the data of the first of its three equal blocks).  The map is CSC, so
+    law_map, the map of [a+, a-] alone that serves the fills at eta = 0, is
+    a slice of its arrays."""
 
     size: int
     indptr: np.ndarray
     indices: np.ndarray
-    coefficient_map: sp.csr_matrix
-    eta_data: np.ndarray
+    coefficient_map: sp.csc_matrix
+    law_map: sp.csc_matrix
 
 
 @lru_cache(maxsize=4)
 def _assembly(domain: DomainSpec, mode: str) -> _Assembly:
-    free = np.full((3,) + domain.shape, -1, dtype=np.int64)
+    # the full law's matrix is three equal uncoupled blocks: map the first
+    free = np.full((1 if mode == "full" else 3,) + domain.shape, -1, dtype=np.int64)
     sel = (slice(None),) + domain.interior
     size = free[sel].size
     free[sel] = np.arange(size).reshape(free[sel].shape)
@@ -432,22 +445,39 @@ def _assembly(domain: DomainSpec, mode: str) -> _Assembly:
     laws = {law: _element_triplets(domain, free, law) for law in dict.fromkeys((mode, "full"))}
     pattern = np.sort(np.concatenate([keys for keys, _, _ in laws.values()]))
     pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
-    maps = {}
-    for law, (keys, coef, value) in laws.items():
-        pos = np.searchsorted(pattern, keys)
-        maps[law] = sp.csr_matrix((value, (pos, coef)), shape=(pattern.size, 2 * free[0].size))
+    nodes = free[0].size
+    maps = {law: sp.csr_matrix((value, (np.searchsorted(pattern, keys), coef)),
+                               shape=(pattern.size, 2 * nodes))
+            for law, (keys, coef, value) in laws.items()}
+    del laws  # the triplets are the build's largest arrays
     mp, mm = g.face_masks(domain)
+    eta_data = maps["full"] @ np.concatenate((mp.ravel(), mm.ravel()))
+    # the eta column is the last: its entries follow the law's
+    law = maps[mode].tocsc()
+    del maps
+    rows = np.flatnonzero(eta_data)
+    coefficient_map = sp.csc_matrix(
+        (np.concatenate((law.data, eta_data[rows])), np.concatenate((law.indices, rows)),
+         np.append(law.indptr, law.nnz + rows.size)), shape=(pattern.size, 2 * nodes + 1))
+    law_map = sp.csc_matrix((coefficient_map.data[: law.nnz], coefficient_map.indices[: law.nnz],
+                             coefficient_map.indptr[:-1]), shape=law.shape)
+    indptr = np.searchsorted(pattern // size, np.arange(size + 1))
+    indices = pattern % size
+    if mode == "full":
+        indptr = np.concatenate([indptr[:-1] + k * pattern.size for k in range(3)]
+                                + [[3 * pattern.size]])
+        indices = np.concatenate([indices + k * size for k in range(3)])
+        size *= 3
     # scipy's own index dtype, so filling a matrix copies no index array; the
     # filled matrices share them, so they are read-only
-    indptr = np.searchsorted(pattern // size, np.arange(size + 1))
-    template = sp.csr_matrix((np.zeros(pattern.size), pattern % size, indptr), shape=(size, size))
+    template = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(size, size))
     template.indptr.flags.writeable = template.indices.flags.writeable = False
     return _Assembly(
         size=size,
         indptr=template.indptr,
         indices=template.indices,
-        coefficient_map=maps[mode],
-        eta_data=maps["full"] @ np.concatenate((mp.ravel(), mm.ravel())),
+        coefficient_map=coefficient_map,
+        law_map=law_map,
     )
 
 
@@ -457,9 +487,13 @@ def _frozen_matrix(
     """_apply_pm(domain, a_plus, a_minus, eta, mode, .) as a CSR matrix over
     the free DOFs, numbered component-major in domain.interior order."""
     asm = _assembly(domain, mode)
-    data = asm.coefficient_map @ np.concatenate((a_plus.ravel(), a_minus.ravel()))
-    if eta != 0.0:
-        data += eta * asm.eta_data
+    coefficients = np.concatenate((a_plus.ravel(), a_minus.ravel(), [eta]))
+    if eta == 0.0:  # skips the eta column's products, all zero
+        data = asm.law_map @ coefficients[:-1]
+    else:
+        data = asm.coefficient_map @ coefficients
+    if mode == "full":
+        data = np.tile(data, 3)
     return sp.csr_matrix((data, asm.indices, asm.indptr), shape=(asm.size, asm.size))
 
 

@@ -88,6 +88,37 @@ def test_coarse_operators_are_galerkin_products(kind, mode, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_vcycle_rejects_a_matrix_off_its_pattern(kind):
+    # the cached Galerkin maps read the fine data by position: a matrix on
+    # another pattern would give wrong coarse operators without notice
+    dom = grid.build_domain(kind, 9)
+    a = np.exp(np.random.default_rng(5).uniform(-6.0, 6.0, dom.shape))
+    a[3, 3, 3:5] = 0.0  # the face between the two nodes: an explicit zero
+    mp, mm = grid.face_masks(dom)
+    matrix = solver._frozen_matrix(dom, a * mp, a * mm, 0.0, "full")
+    multigrid.VCycle(dom, matrix)
+    pruned = matrix.copy()
+    pruned.eliminate_zeros()
+    assert pruned.nnz < matrix.nnz
+    with pytest.raises(ValueError, match="pattern"):
+        multigrid.VCycle(dom, pruned)
+    with pytest.raises(ValueError, match="pattern"):
+        multigrid.VCycle(dom, solver._frozen_matrix(dom, a * mp, a * mm, 0.0, "symmetric"))
+
+
+def test_galerkin_map_cache_is_bounded():
+    multigrid._levels.cache_clear()
+    maxsize = multigrid._levels.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for n in (8, 9, 10):
+        for kind in KINDS:
+            dom = grid.build_domain(kind, n)
+            multigrid.VCycle(dom, frozen_matrix(dom, "full", eta=0.0))
+            assert multigrid._levels.cache_info().currsize <= maxsize
+    assert multigrid._levels.cache_info().misses == 6
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n", SIZES)
 def test_vcycle_is_symmetric_and_positive(kind, mode, n):

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -354,6 +355,70 @@ def test_assembled_operator_equals_apply_pm(kind, mode, n, eta, floored, seed):
     assert (matrix != matrix.T).nnz == 0
 
 
+def _one_map_fill(dom, a_plus, a_minus, eta, mode):
+    """The fill as one coefficient map over all three components, with the
+    eta term added separately: the reference for the block and eta-column
+    assembly, which must match it bit for bit."""
+    free = np.full((3,) + dom.shape, -1, dtype=np.int64)
+    sel = (slice(None),) + dom.interior
+    size = free[sel].size
+    free[sel] = np.arange(size).reshape(free[sel].shape)
+    laws = {law: solver._element_triplets(dom, free, law) for law in dict.fromkeys((mode, "full"))}
+    pattern = np.unique(np.concatenate([keys for keys, _, _ in laws.values()]))
+    maps = {law: sp.csr_matrix((value, (np.searchsorted(pattern, keys), coef)),
+                               shape=(pattern.size, 2 * free[0].size))
+            for law, (keys, coef, value) in laws.items()}
+    mp, mm = grid.face_masks(dom)
+    data = maps[mode] @ np.concatenate((a_plus.ravel(), a_minus.ravel()))
+    if eta != 0.0:
+        data += eta * (maps["full"] @ np.concatenate((mp.ravel(), mm.ravel())))
+    return data, pattern % size, np.searchsorted(pattern // size, np.arange(size + 1))
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+@pytest.mark.parametrize("mode", ["full", "symmetric"])
+@pytest.mark.parametrize("n", [8, 9, 12])
+def test_fill_is_bit_identical_to_one_map_over_all_components(kind, mode, n):
+    dom = grid.build_domain(kind, n)
+    rng = np.random.default_rng(n)
+    a = np.exp(rng.uniform(-6.0, 6.0, dom.shape))
+    mp, mm = grid.face_masks(dom)
+    for eta in (0.0, 1e-8, 1e-3, 0.7):
+        matrix = solver._frozen_matrix(dom, a * mp, a * mm, eta, mode)
+        data, indices, indptr = _one_map_fill(dom, a * mp, a * mm, eta, mode)
+        assert np.array_equal(matrix.indptr, indptr)
+        assert np.array_equal(matrix.indices, indices)
+        assert np.array_equal(matrix.data, data)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+def test_full_law_matrix_is_three_bit_equal_blocks(kind):
+    dom = grid.build_domain(kind, 9)
+    a = np.exp(np.random.default_rng(1).uniform(-6.0, 6.0, dom.shape))
+    mp, mm = grid.face_masks(dom)
+    matrix = solver._frozen_matrix(dom, a * mp, a * mm, 1e-3, "full")
+    nodes = matrix.shape[0] // 3
+    blocks = [matrix[k * nodes:(k + 1) * nodes, k * nodes:(k + 1) * nodes] for k in range(3)]
+    assert sum(block.nnz for block in blocks) == matrix.nnz  # no coupling
+    for block in blocks[1:]:
+        assert np.array_equal(block.indptr, blocks[0].indptr)
+        assert np.array_equal(block.indices, blocks[0].indices)
+        assert np.array_equal(block.data, blocks[0].data)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+@pytest.mark.parametrize("mode", ["full", "symmetric"])
+def test_eta_column_is_eta_times_the_unit_face_data(kind, mode):
+    # -eta Lap is the full law's operator with coefficient eta on every face
+    dom = grid.build_domain(kind, 8)
+    mp, mm = grid.face_masks(dom)
+    unit = solver._frozen_matrix(dom, mp, mm, 0.0, "full").toarray()
+    for eta in (1e-10, 1e-3, 0.7, 3.0):
+        zero = np.zeros(dom.shape)
+        got = solver._frozen_matrix(dom, zero, zero, eta, mode).toarray()
+        assert np.array_equal(got, eta * unit)
+
+
 def test_assembly_cache_is_bounded():
     solver._assembly.cache_clear()
     maxsize = solver._assembly.cache_info().maxsize
@@ -375,10 +440,12 @@ def test_reference_operator_builds_no_assembly():
     dom = grid.build_domain("dirichlet_box", 8)
     prob = make_problem(dom, 1.5, 0.1, structure="symmetric")
     multigrid.interpolations.cache_clear()
+    multigrid._levels.cache_clear()
     v = solver.residual(dom, prob.params, 1e-2, prob.forcing(), prob.forcing())
     solver.apply_linear(dom, np.ones(dom.shape), 0.0, "full", v)
     assert solver._assembly.cache_info().currsize == 0
     assert multigrid.interpolations.cache_info().currsize == 0
+    assert multigrid._levels.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- nonlinear solve
