@@ -209,13 +209,22 @@ def _available_memory():
     return min(limits, default=None)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's CPU count (1 if that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _check_grid_memory(command: str, config: dict) -> None:
     """Reject a grid size the command reads whose estimated peak exceeds the
     memory available; a sweep's pool runs one per worker, up to the CPUs."""
     memory = _available_memory()
     if memory is None:
         return
-    solves = min(config["sweep"]["workers"], os.cpu_count() or 1) if command == "sweep" else 1
+    solves = min(config["sweep"]["workers"], _usable_cpus()) if command == "sweep" else 1
     for section, key, structure in GRID_KEYS[command]:
         n = config[section][key]
         need = solves * solver.peak_memory_estimate(n, structure or config["params"]["structure"])
@@ -528,7 +537,7 @@ def read_sweep_csv(path) -> list:
 
 def _pool_size(workers: int, points: int) -> int:
     """Worker processes for a sweep: no more than the points or the CPUs."""
-    return min(workers, points, os.cpu_count() or 1)
+    return min(workers, points, _usable_cpus())
 
 
 def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:

@@ -212,7 +212,9 @@ def gradient_mode(grad: np.ndarray, mode: str) -> np.ndarray:
     """A gradient tensor (leading axes [i, j]) as the law sees it: itself for
     mode "full", its symmetric part (G + G^T)/2 for mode "symmetric"."""
     if mode == "symmetric":
-        return 0.5 * (grad + np.swapaxes(grad, 0, 1))
+        out = grad + np.swapaxes(grad, 0, 1)
+        out *= 0.5
+        return out
     if mode != "full":
         raise ValueError(f"mode must be 'full' or 'symmetric', got {mode!r}")
     return grad

@@ -10,8 +10,11 @@ if its energy is finite and at most the current one plus a roundoff slack.
 Otherwise the history is dropped and the step is the plain Kacanov one,
 guarded by a backtracking line search on the energy; a step shortened by it
 drops the history as well.  Each iterate's one-sided gradient pair is built
-once: the step builds it for the candidate or trial it accepts, and the next
-step's coefficient is computed from that same pair.
+once, in one differencing pass per axis (the backward differences are the
+forward ones shifted by one node), for the candidate or trial the step tests.
+Its law magnitudes |T+-| are taken once too: the trial's energy takes them
+and keeps them on the pair, and the next step's coefficient reuses them.
+On the full law the energy's eta term and the law share the squares |G+-|^2.
 Only the residual and energy histories are recorded per step; norms of the
 solution are the caller's, on the converged field.  Inner loop: one
 preconditioned conjugate gradient solve, _pcg, on flat vectors over the free
@@ -267,20 +270,61 @@ def _l2(arr: np.ndarray) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-def _pm_gradients(domain: DomainSpec, v: np.ndarray):
-    """One-sided gradient pair; out[i, j] is the difference of v_i along j."""
+class _GradientPair:
+    """A field's one-sided gradient pair, plus and minus the forward and
+    backward differences with [i, j] the difference of v_i along j, and the
+    law magnitudes of the one law they were last taken under: law_magnitudes
+    takes them once per pair and law."""
+
+    __slots__ = ("plus", "minus", "law", "magnitudes")
+
+    def __init__(self, plus: np.ndarray, minus: np.ndarray):
+        self.plus, self.minus = plus, minus
+        self.law = self.magnitudes = None
+
+    def __iter__(self):
+        return iter((self.plus, self.minus))
+
+    def law_magnitudes(self, structure: str):
+        """((|T+|^2, |T+|), (|T-|^2, |T-|)), T the gradient_mode of each side
+        under structure; a pair taken under the other law is taken again."""
+        if self.law != structure:
+            self.magnitudes = tuple(_structure_mag(grad, structure) for grad in self)
+            self.law = structure
+        return self.magnitudes
+
+
+def _pm_gradients(domain: DomainSpec, v: np.ndarray) -> _GradientPair:
+    """One-sided gradient pair, grid.one_sided_difference's values bit for bit.
+
+    Per axis one subtraction gives the forward differences of all three
+    components.  The backward difference at x is the forward one at x - e_j,
+    so it is a shifted copy: wrapping on a periodic axis, and on a wall axis
+    the copy of the forward pair's last slice, which is 0, fills the first.
+    """
     gp = np.empty((3, 3) + domain.shape)
-    gm = np.empty((3, 3) + domain.shape)
-    for i in range(3):
-        for j in range(3):
-            gp[i, j] = g.one_sided_difference(domain, v[i], j, 1)
-            gm[i, j] = g.one_sided_difference(domain, v[i], j, -1)
-    return gp, gm
+    gm = np.empty_like(gp)
+    head, tail, last = slice(None, -1), slice(1, None), slice(-1, None)
+    for j in range(3):
+        fwd, bwd = gp[:, j], gm[:, j]
+        lead = (slice(None),) * (j + 1)  # an index after it is on grid axis j
+        np.subtract(v[lead + (tail,)], v[lead + (head,)], out=fwd[lead + (head,)])
+        if domain.is_periodic(j):
+            np.subtract(v[lead + (slice(0, 1),)], v[lead + (last,)], out=fwd[lead + (last,)])
+        else:
+            fwd[lead + (-1,)] = 0.0
+        fwd /= domain.h
+        bwd[lead + (tail,)] = fwd[lead + (head,)]
+        bwd[lead + (0,)] = fwd[lead + (-1,)]
+    return _GradientPair(gp, gm)
 
 
-def _structure_mag(grad: np.ndarray, structure: str) -> np.ndarray:
+def _structure_mag(grad: np.ndarray, structure: str):
+    """(|T|^2, |T|) per node, T = gradient_mode(grad, structure)."""
     t = g.gradient_mode(grad, structure)
-    return np.sqrt(np.sum(t * t, axis=(0, 1)))
+    # the symmetric part is a fresh array, squared in place
+    square = np.sum(np.multiply(t, t, out=None if t is grad else t), axis=(0, 1))
+    return square, np.sqrt(square)
 
 
 def coefficient_field(
@@ -292,18 +336,18 @@ def coefficient_field(
     """Secant coefficients (mu + |G v|)^(p-2) on the one-sided gradient pair.
 
     pair is v's one-sided gradient pair, _pm_gradients(domain, v), when the
-    caller already holds it.  COEFFICIENT_FLOOR clips mu + |G v| from below
+    caller already holds it; magnitudes that energy took from it under the
+    same law are reused.  COEFFICIENT_FLOOR clips mu + |G v| from below
     before the power is taken; for p < 2 that caps the coefficient at
     COEFFICIENT_FLOOR^(p-2) on the (measure-zero) critical set of v.  Returns
     (a_plus, a_minus, floor_was_active); the two arrays are zero where the
     corresponding one-sided gradient has no face.
     """
-    gp, gm = _pm_gradients(domain, v) if pair is None else pair
-    mp, mm = g.face_masks(domain)
+    pair = _pm_gradients(domain, v) if pair is None else pair
     out = []
     active = False
-    for grad, mask in ((gp, mp), (gm, mm)):
-        base = params.mu + _structure_mag(grad, params.structure)
+    for (_, mag), mask in zip(pair.law_magnitudes(params.structure), g.face_masks(domain)):
+        base = params.mu + mag
         active |= bool(np.any((base < COEFFICIENT_FLOOR) & (mask > 0.0)))
         np.maximum(base, COEFFICIENT_FLOOR, out=base)
         out.append(base ** (params.p - 2.0) * mask)
@@ -624,20 +668,20 @@ def energy(v: np.ndarray, problem: ProblemSpec, eta: float, pair=None) -> float:
     difference realisations, which makes this the exact antiderivative of the
     solver's discrete operator: residual zeros and energy minima coincide.
     The eta term always uses the full gradient because the regularising
-    operator is -eta*Lap for both structures.  pair is v's one-sided gradient
-    pair, as in coefficient_field.
+    operator is -eta*Lap for both structures, so on the full law its squares
+    are the law's own.  pair is v's one-sided gradient pair, as in
+    coefficient_field; the law magnitudes taken here stay on it.
     """
     domain, params = problem.domain, problem.params
     f = problem.forcing()
-    gp, gm = _pm_gradients(domain, v) if pair is None else pair
+    pair = _pm_gradients(domain, v) if pair is None else pair
     mp, mm = g.face_masks(domain)
+    (ep, mag_p), (em, mag_m) = pair.law_magnitudes(params.structure)
     quad = 0.0
     if eta != 0.0:
-        ep = np.sum(gp * gp, axis=(0, 1))
-        em = np.sum(gm * gm, axis=(0, 1))
+        if params.structure != "full":  # the law's squares are of (G + G^T)/2
+            ep, em = (np.sum(grad * grad, axis=(0, 1)) for grad in pair)
         quad += 0.25 * eta * (np.sum(mp * ep) + np.sum(mm * em))
-    mag_p = _structure_mag(gp, params.structure)
-    mag_m = _structure_mag(gm, params.structure)
     quad += 0.5 * np.sum(mp * stress_potential(mag_p, params.p, params.mu))
     quad += 0.5 * np.sum(mm * stress_potential(mag_m, params.p, params.mu))
     quad -= np.sum(f * v)

@@ -190,7 +190,7 @@ def test_sweep_memory_check_counts_the_pool_s_processes(tmp_path, capsys, monkey
     # memory for one and a half solves takes one worker but not two
     from pstruct import solver
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     one = solver.peak_memory_estimate(8, "full")
     monkeypatch.setattr(cli, "_available_memory", lambda: 1.5 * one)
     assert run_cli("sweep", *sweep_args(tmp_path, "--set", "sweep.workers=1")) == 0
@@ -655,13 +655,24 @@ def test_sweep_keeps_seeded_forcings_apart(tmp_path, monkeypatch):
 
 
 def test_pool_size_is_bounded_by_points_and_cpus(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert cli._pool_size(10_000, 32) == 2
     assert cli._pool_size(1, 32) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
     assert cli._pool_size(10_000, 3) == 3
     assert cli._pool_size(4, 32) == 4
+
+
+def test_usable_cpus_are_the_affinity_set_else_the_cpu_count(monkeypatch):
+    # under taskset or a cpuset the affinity set is smaller than the machine
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._usable_cpus() == 1
+    assert cli._pool_size(4, 32) == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._usable_cpus() == 64
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
     assert cli._pool_size(4, 32) == 1
 
 

@@ -332,6 +332,64 @@ def test_apply_pm_equals_two_branch_reference_bit_for_bit(kind, mode, eta):
     assert np.array_equal(got, ref)
 
 
+def _pm_gradients_per_entry(dom, v):
+    """The gradient pair as 18 separate one_sided_difference calls."""
+    gp = np.array([[grid.one_sided_difference(dom, v[i], j, 1) for j in range(3)]
+                   for i in range(3)])
+    gm = np.array([[grid.one_sided_difference(dom, v[i], j, -1) for j in range(3)]
+                   for i in range(3)])
+    return gp, gm
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["dirichlet_box", "cubic_periodic"]), n=st.integers(8, 11),
+       scale=st.sampled_from([1e-12, 1.0, 1e12]), seed=st.integers(0, 2**32 - 1))
+def test_pair_is_the_per_entry_one_sided_differences_bit_for_bit(kind, n, scale, seed):
+    # the backward difference at x is the forward one at x - e_j: same
+    # subtraction, same division, so the shifted copy is exact
+    dom = grid.build_domain(kind, n)
+    v = scale * np.random.default_rng(seed).standard_normal((3,) + dom.shape)
+    pair = solver._pm_gradients(dom, v)
+    for got, ref in zip(pair, _pm_gradients_per_entry(dom, v)):
+        assert got.shape == ref.shape == (3, 3) + dom.shape
+        assert np.array_equal(got, ref)
+
+
+def _apply_pm_per_entry(dom, a_plus, a_minus, eta, mode, w):
+    """_apply_pm as it was with the per-entry gradient pair."""
+    if mode != "full":
+        tp, tm = (grid.gradient_mode(grad, mode) for grad in _pm_gradients_per_entry(dom, w))
+
+    def flux(side, i, j):
+        if mode == "full":
+            return grid.one_sided_difference(dom, w[i], j, side)
+        return (tp if side > 0 else tm)[i, j]
+
+    out = np.zeros_like(w)
+    for i in range(3):
+        for j in range(3):
+            out[i] -= 0.5 * (
+                grid.one_sided_difference(dom, a_plus * flux(1, i, j), j, -1)
+                + grid.one_sided_difference(dom, a_minus * flux(-1, i, j), j, 1)
+            )
+    if eta != 0.0:
+        out -= eta * grid.laplacian(dom, w)
+    return grid.apply_constraints(dom, out)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+@pytest.mark.parametrize("mode", ["full", "symmetric"])
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_apply_pm_equals_the_per_entry_pair_apply_bit_for_bit(kind, mode, eta):
+    dom = grid.build_domain(kind, 11)
+    rng = np.random.default_rng(21)
+    a_plus, a_minus = (np.exp(rng.uniform(-6.0, 6.0, dom.shape)) * m
+                       for m in grid.face_masks(dom))
+    w = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
+    got = solver._apply_pm(dom, a_plus, a_minus, eta, mode, w)
+    assert np.array_equal(got, _apply_pm_per_entry(dom, a_plus, a_minus, eta, mode, w))
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["dirichlet_box", "cubic_periodic"]),
        mode=st.sampled_from(["full", "symmetric"]), n=st.integers(8, 11),
@@ -554,8 +612,8 @@ def test_solve_raises_on_non_finite_residual_or_energy(mu, eta):
 def test_accepted_trial_energy_is_carried_forward(monkeypatch):
     dom = grid.build_domain("dirichlet_box", 12)
     prob = make_problem(dom, 1.5, 0.1)
-    calls = {"energy": 0, "pair": 0}
-    energy, pm_gradients = solver.energy, solver._pm_gradients
+    calls = {"energy": 0, "pair": 0, "magnitudes": 0}
+    energy, pm_gradients, structure_mag = solver.energy, solver._pm_gradients, solver._structure_mag
 
     def counting_energy(*args):
         calls["energy"] += 1
@@ -565,18 +623,70 @@ def test_accepted_trial_energy_is_carried_forward(monkeypatch):
         calls["pair"] += 1
         return pm_gradients(*args)
 
+    def counting_structure_mag(*args):
+        calls["magnitudes"] += 1
+        return structure_mag(*args)
+
     monkeypatch.setattr(solver, "energy", counting_energy)
     monkeypatch.setattr(solver, "_pm_gradients", counting_pm_gradients)
+    monkeypatch.setattr(solver, "_structure_mag", counting_structure_mag)
     cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10)
     v, report = solver.solve(prob, cfg)
     assert report.iterations > 3
     # one evaluation per accepted trial, rejected backtrack or rejected
-    # Anderson candidate, plus the start; the accepted trial's gradient pair
-    # also gives the next coefficient
+    # Anderson candidate, plus the start; the accepted trial's gradient pair,
+    # with the law magnitudes its energy took, also gives the next coefficient
     assert report.accelerated > 0
-    assert calls["energy"] == calls["pair"] == (1 + report.iterations + report.backtracks
-                                                + report.restarts)
+    pairs = 1 + report.iterations + report.backtracks + report.restarts
+    assert calls["energy"] == calls["pair"] == pairs
+    assert calls["magnitudes"] == 2 * pairs
     assert report.energy_history[-1] == energy(v, prob, cfg.eta)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+@pytest.mark.parametrize("structure", ["full", "symmetric"])
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_a_pair_gives_the_values_of_no_pair_bit_for_bit(kind, structure, eta):
+    dom = grid.build_domain(kind, 10)
+    prob = make_problem(dom, 1.6, 0.05, structure=structure)
+    v = grid.apply_constraints(dom, np.random.default_rng(4).standard_normal((3,) + dom.shape))
+    plain_energy = solver.energy(v, prob, eta)
+    plain_coefficients = solver.coefficient_field(dom, prob.params, v)
+    # magnitudes taken by energy, then reused by coefficient_field ...
+    pair = solver._pm_gradients(dom, v)
+    assert solver.energy(v, prob, eta, pair) == plain_energy
+    carried = solver.coefficient_field(dom, prob.params, v, pair)
+    # ... and taken by coefficient_field, then reused by energy
+    pair = solver._pm_gradients(dom, v)
+    first = solver.coefficient_field(dom, prob.params, v, pair)
+    assert solver.energy(v, prob, eta, pair) == plain_energy
+    for got in (carried, first):
+        assert got[2] == plain_coefficients[2]
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], plain_coefficients[:2]))
+
+
+def test_a_pair_s_magnitudes_are_never_reused_under_the_other_law(monkeypatch):
+    dom = grid.build_domain("cubic_periodic", 9)
+    v = grid.apply_constraints(dom, np.random.default_rng(5).standard_normal((3,) + dom.shape))
+    probs = {law: make_problem(dom, 1.6, 0.05, structure=law) for law in ("full", "symmetric")}
+    plain = {law: (solver.energy(v, prob, 1e-3), solver.coefficient_field(dom, prob.params, v))
+             for law, prob in probs.items()}
+    calls = []
+    structure_mag = solver._structure_mag
+
+    def counting_structure_mag(grad, structure):
+        calls.append(structure)
+        return structure_mag(grad, structure)
+
+    monkeypatch.setattr(solver, "_structure_mag", counting_structure_mag)
+    pair = solver._pm_gradients(dom, v)
+    for law in ("full", "symmetric", "full", "symmetric"):
+        prob = probs[law]
+        got = solver.coefficient_field(dom, prob.params, v, pair)
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], plain[law][1][:2]))
+        assert solver.energy(v, prob, 1e-3, pair) == plain[law][0]
+        assert calls[-2:] == [law, law]  # taken afresh on each switch, once per law
+    assert len(calls) == 8
 
 
 def test_exhausted_line_search_takes_the_smallest_step(monkeypatch):
