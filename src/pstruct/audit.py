@@ -398,7 +398,7 @@ def tangential_energy_check(domain: DomainSpec, u: np.ndarray, p: float, mu: flo
     if domain.kind != CUBIC_PERIODIC:
         raise ValueError("tangential energies need the periodic slab domain")
     full = g.gradient(domain, u, "full")
-    du = 0.5 * (full + np.swapaxes(full, 0, 1))
+    du = g.gradient_mode(full, "symmetric")
     mag = np.sqrt(np.sum(du * du, axis=(0, 1)))
     base = mu + mag
     with np.errstate(divide="ignore"):

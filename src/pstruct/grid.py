@@ -164,15 +164,17 @@ def one_sided_difference(domain: DomainSpec, f: np.ndarray, axis: int, side: int
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def face_masks(domain: DomainSpec) -> tuple:
     """(forward, backward) node masks: 0 on the wall slices where that
-    one_sided_difference has no face, 1 elsewhere."""
+    one_sided_difference has no face, 1 elsewhere.  Cached and read-only."""
     masks = (np.ones(domain.shape), np.ones(domain.shape))
     for axis in range(3):
         if not domain.is_periodic(axis):
             masks[0][_sl(3, axis, -1)] = 0.0
             masks[1][_sl(3, axis, 0)] = 0.0
+    for mask in masks:
+        mask.flags.writeable = False
     return masks
 
 
@@ -315,6 +317,7 @@ def quadrature_weights(domain: DomainSpec) -> np.ndarray:
 def _interior_weights(domain: DomainSpec) -> np.ndarray:
     w = np.zeros(domain.shape)
     w[domain.interior] = domain.h**3
+    w.flags.writeable = False
     return w
 
 

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .constitutive import ConstitutiveParams, stress_jacobian
 from .errors import UnknownId
-from .grid import D2_PAIRS, DomainSpec, norm as grid_norm
+from .grid import D2_PAIRS, DomainSpec, gradient_mode, norm as grid_norm
 
 __all__ = [
     "RhsSpec",
@@ -169,9 +169,7 @@ class AnalyticField:
                 d = [0, 0, 0]
                 d[j] = 1
                 out[i, j] = self._component(i, *d)
-        if mode == "symmetric":
-            out = 0.5 * (out + np.swapaxes(out, 0, 1))
-        return out
+        return gradient_mode(out, mode)
 
     def second_values(self) -> np.ndarray:
         """Second partials in the grid module's pair order, shape (3,6,...)."""

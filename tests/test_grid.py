@@ -281,6 +281,22 @@ def test_public_quadrature_helpers(kind):
     assert g.lq_norm_from_squares(dom, d2.sq_all(), 3.0, True) == g.norm(dom, d2, q=3.0)
 
 
+def test_cached_grid_arrays_are_read_only_and_bounded():
+    # every caller shares these arrays, so a write would change the next
+    # caller's values
+    dom = g.build_domain(g.DIRICHLET_BOX, 8)
+    for arr in (*g.face_masks(dom), g.quadrature_weights(dom), g._interior_weights(dom)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 2.0
+    for cached in (g.face_masks, g.quadrature_weights, g._interior_weights):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 32
+        cached.cache_clear()
+        for n in range(8, 8 + maxsize + 4):
+            cached(g.build_domain(g.CUBIC_PERIODIC, n))
+        assert cached.cache_info().currsize == maxsize
+
+
 def test_mollify_constant_interior():
     dom = g.build_domain(g.CUBIC_PERIODIC, 16)
     f = np.ones((1,) + dom.shape)

@@ -130,6 +130,17 @@ def test_analytic_field_matches_grid_operators():
     assert np.allclose(sym, np.swapaxes(sym, 0, 1), rtol=0.0, atol=0.0)
 
 
+def test_analytic_gradient_modes_are_the_grid_modes():
+    # the symmetric part is grid.gradient_mode's, bit for bit, and a mode the
+    # grid does not know is an error, not the full gradient
+    fld = AnalyticField(g.build_domain(g.DIRICHLET_BOX, 10))
+    full = fld.gradient_values()
+    assert np.array_equal(fld.gradient_values("symmetric"),
+                          0.5 * (full + np.swapaxes(full, 0, 1)))
+    with pytest.raises(ValueError, match="mode"):
+        fld.gradient_values("skew")
+
+
 def test_analytic_field_satisfies_constraints():
     # wall factors are sin(pi k x) evaluated in floats, so "zero" means 1e-16
     for kind in (g.CUBIC_PERIODIC, g.DIRICHLET_BOX):

@@ -108,12 +108,23 @@ def test_p2_with_eta_scales_poisson():
     np.testing.assert_allclose(v, poisson_solve(dom, prob.forcing()) / 1.5, atol=1e-13)
 
 
+def _linear_solve(dom, a, f, mode, rtol, maxiter=solver.INNER_MAXITER):
+    """solve's inner solve for one nodal coefficient a on both sides' faces,
+    from zero, with the plain Poisson preconditioner; a full-grid field."""
+    mp, mm = grid.face_masks(dom)
+    matrix = solver._frozen_matrix(dom, a * mp, a * mm, 0.0, mode)
+    b = solver._free(dom, f)
+    x, _ = solver._pcg(dom, matrix.dot, solver._preconditioner(dom), b, np.zeros_like(b), b,
+                       rtol, maxiter)
+    return solver._field(dom, x)
+
+
 def test_unit_coefficient_subsolve_matches_poisson():
     # a == 1 in full-gradient mode is exactly the 7-point Laplacian, and the
     # preconditioner inverts it, so PCG lands on the answer in one step
     dom = grid.build_domain("dirichlet_box", 16)
     f = grid.apply_constraints(dom, problems.rhs_sample(dom, "smooth-trig", 1.0))
-    w = solver.linear_subsolve(np.ones(dom.shape), 0.0, f, dom, mode="full", rtol=1e-13)
+    w = _linear_solve(dom, np.ones(dom.shape), f, "full", 1e-13)
     np.testing.assert_allclose(w, poisson_solve(dom, f), atol=1e-13)
 
 
@@ -128,6 +139,7 @@ def test_dense_operator_oracle(mode):
     dom = grid.build_domain("cubic_periodic", 8)
     rng = np.random.default_rng(1)
     a = rng.uniform(0.5, 2.0, dom.shape)
+    mp, mm = grid.face_masks(dom)
 
     free = np.zeros((3,) + dom.shape, dtype=bool)
     free[(slice(None),) + dom.interior] = True
@@ -138,7 +150,7 @@ def test_dense_operator_oracle(mode):
         e = np.zeros(3 * int(np.prod(dom.shape)))
         e[k] = 1.0
         w = e.reshape((3,) + dom.shape)
-        cols.append(solver.apply_linear(dom, a, 0.0, mode, w).ravel()[idx])
+        cols.append(solver._apply_pm(dom, a * mp, a * mm, 0.0, mode, w).ravel()[idx])
     mat = np.array(cols).T
 
     scale = np.max(np.abs(mat))
@@ -147,7 +159,7 @@ def test_dense_operator_oracle(mode):
 
     f = problems.rhs_sample(dom, "band-limited-random", 1.0, seed=5)
     x_dense = np.linalg.solve(mat, f.ravel()[idx])
-    w = solver.linear_subsolve(a, 0.0, f, dom, mode=mode, rtol=1e-13)
+    w = _linear_solve(dom, a, f, mode, 1e-13)
     assert np.max(np.abs(w.ravel()[idx] - x_dense)) < 1e-9
 
 
@@ -156,16 +168,17 @@ def test_quadratic_form_positive(mode):
     dom = grid.build_domain("dirichlet_box", 12)
     rng = np.random.default_rng(4)
     a = rng.uniform(0.2, 3.0, dom.shape)
+    mp, mm = grid.face_masks(dom)
     for _ in range(5):
         w = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
-        q = dom.h ** 3 * np.sum(solver.apply_linear(dom, a, 0.0, mode, w) * w)
+        q = dom.h ** 3 * np.sum(solver._apply_pm(dom, a * mp, a * mm, 0.0, mode, w) * w)
         assert q > 0.0
 
 
-def test_apply_linear_rejects_bad_mode():
+def test_apply_pm_rejects_bad_mode():
     dom = grid.build_domain("dirichlet_box", 8)
     with pytest.raises(ValueError):
-        solver.apply_linear(dom, np.ones(dom.shape), 0.0, "skew", dom.zeros((3,)))
+        solver._apply_pm(dom, *grid.face_masks(dom), 0.0, "skew", dom.zeros((3,)))
 
 
 def test_subsolve_raises_ill_conditioned_on_budget():
@@ -174,7 +187,7 @@ def test_subsolve_raises_ill_conditioned_on_budget():
     a = rng.uniform(0.5, 2.0, dom.shape)
     f = problems.rhs_sample(dom, "smooth-trig", 1.0)
     with pytest.raises(IllConditioned) as exc:
-        solver.linear_subsolve(a, 0.0, f, dom, mode="full", rtol=1e-14, maxiter=2)
+        _linear_solve(dom, a, f, "full", 1e-14, maxiter=2)
     assert exc.value.achieved > 0.0
     assert exc.value.field.shape == (3,) + dom.shape
 
@@ -219,7 +232,7 @@ def test_pcg_stops_at_once_on_non_finite():
     a = np.ones(dom.shape)
     a[3, 3, 3] = np.inf
     with pytest.raises(NonFinite):
-        solver.linear_subsolve(a, 0.0, f, dom, maxiter=50)
+        _linear_solve(dom, a, f, "full", 1e-11, maxiter=50)
 
 
 def test_pcg_raises_on_loss_of_definiteness():
@@ -492,15 +505,15 @@ def test_assembly_cache_is_bounded():
 
 
 def test_reference_operator_builds_no_assembly():
-    # residual, apply_operator and apply_linear stay matrix-free: they check
-    # the assembled solves independently and warm no cache
+    # residual, apply_operator and _apply_pm stay matrix-free: they check the
+    # assembled solves independently and warm no cache
     solver._assembly.cache_clear()
     dom = grid.build_domain("dirichlet_box", 8)
     prob = make_problem(dom, 1.5, 0.1, structure="symmetric")
     multigrid.interpolations.cache_clear()
     multigrid._levels.cache_clear()
     v = solver.residual(dom, prob.params, 1e-2, prob.forcing(), prob.forcing())
-    solver.apply_linear(dom, np.ones(dom.shape), 0.0, "full", v)
+    solver._apply_pm(dom, *grid.face_masks(dom), 0.0, "full", v)
     assert solver._assembly.cache_info().currsize == 0
     assert multigrid.interpolations.cache_info().currsize == 0
     assert multigrid._levels.cache_info().currsize == 0
@@ -859,7 +872,7 @@ def test_p2_collapses_onto_the_linear_operator_on_random_fields(kind, mode, mu, 
     mp, mm = grid.face_masks(dom)
     assert np.array_equal(a_plus, mp) and np.array_equal(a_minus, mm)
     op = solver.apply_operator(dom, prob.params, eta, v)
-    assert np.array_equal(op, solver.apply_linear(dom, np.ones(dom.shape), eta, mode, v))
+    assert np.array_equal(op, solver._apply_pm(dom, mp, mm, eta, mode, v))
     if mode == "full":
         lap = -(1.0 + eta) * grid.apply_constraints(dom, grid.laplacian(dom, v))
         assert np.linalg.norm(op - lap) <= 1e-12 * np.linalg.norm(lap)
