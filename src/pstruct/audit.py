@@ -15,7 +15,7 @@ which the estimate is claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "admissible_p",
     "lhs_value",
     "rhs_value",
+    "solve_family",
     "verify_estimate",
     "tangential_energy_check",
     "holder_seminorm",
@@ -117,10 +118,11 @@ def c5_table(domain: DomainSpec, q_list=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0),
 
 
 def estimate_constants(domain: DomainSpec, q_list, samples: int, seed: int):
-    """(c5 table, c4, growth fit, c6); c4 is the table's q = 2 entry when
-    q_list has one, so q = 2 is evaluated once."""
-    table = c5_table(domain, q_list=q_list, samples=samples, seed=seed)
-    c4 = table[2.0] if 2.0 in table else estimate_c4(domain, samples, seed)
+    """(c5 table, c4, growth fit, c6) from one pass over the samples: c4 is
+    its q = 2 entry, and the table keeps the q of q_list."""
+    table = c5_table(domain, q_list=tuple(q_list) + (2.0,), samples=samples, seed=seed)
+    c4 = table[2.0]
+    table = {q: table[q] for q in map(float, q_list)}
     return table, c4, growth_fit(table), max([c4] + list(table.values()))
 
 
@@ -274,32 +276,30 @@ def _resolved_spec(name: str, overrides: dict) -> dict:
 def _family_key(spec: dict, n: int) -> tuple:
     """What an estimate check's solves depend on: checks with equal keys
     solve the same problems and differ only in the norms they take."""
-    return (spec["p"], spec["mu_values"], spec["structure"], spec["kind"], n)
+    return (spec["kind"], n, spec["p"], spec["mu_values"], spec["structure"])
 
 
-def _solve_family(p: float, mu_values: tuple, structure: str, kind: str, n: int) -> list:
-    """Solve every problem of one estimate family, in sweep order: per shape
-    seed and mu, the amplitudes ascending, each warm-started from the last
-    solution scaled by the amplitude ratio to the power 1/(p-1).  Returns
-    one (seed, mu, eta, amplitude, f, u, SolveReport) per problem."""
+def solve_family(kind: str, n: int, p: float, mu_values, structure: str, rhs_id: str = RHS_ID,
+                 seeds=SHAPE_SEEDS, amplitudes=AMPLITUDES,
+                 base=solver.SolveConfig(outer_tol=OUTER_TOL, max_outer=MAX_OUTER)):
+    """Solve every problem of one estimate family, in sweep order: per seed
+    and mu, the amplitudes ascending, each warm-started from the last
+    solution scaled by the amplitude ratio to the power 1/(p-1), under base
+    at its eta, raised to ETA_FLOOR at mu = 0.  Yields one (seed, mu, eta,
+    amplitude, f, u, SolveReport) per problem, each as soon as it is solved."""
     domain = build_domain(kind, n)
-    solved = []
-    for seed in SHAPE_SEEDS:
+    for seed in seeds:
         for mu in mu_values:
             params = ConstitutiveParams(p=p, mu=mu, structure=structure)
-            eta = 0.0 if mu > 0.0 else ETA_FLOOR
-            cfg = solver.SolveConfig(eta=eta, outer_tol=OUTER_TOL, max_outer=MAX_OUTER)
+            eta = base.eta if mu > 0.0 else max(base.eta, ETA_FLOOR)
+            cfg = replace(base, eta=eta, continuation=None)
             prev = None
-            prev_amp = None
-            for amp in sorted(AMPLITUDES):
-                f = rhs_sample(domain, RHS_ID, amp, seed)
-                initial = None
-                if prev is not None:
-                    initial = prev * (amp / prev_amp) ** (1.0 / (p - 1.0))
+            for amp in sorted(amplitudes):
+                f = rhs_sample(domain, rhs_id, amp, seed)
+                initial = None if prev is None else prev[0] * (amp / prev[1]) ** (1.0 / (p - 1.0))
                 u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg, initial=initial)
-                prev, prev_amp = u, amp
-                solved.append((int(seed), mu, eta, float(amp), f, u, rep))
-    return solved
+                prev = (u, amp)
+                yield int(seed), mu, eta, float(amp), f, u, rep
 
 
 def _judge_estimate(name: str, spec: dict, n: int, solved: list) -> dict:
@@ -384,7 +384,7 @@ def verify_estimate(name: str, n: int = 16, **overrides) -> dict:
     "informational".
     """
     spec = _resolved_spec(name, overrides)
-    return _judge_estimate(name, spec, n, _solve_family(*_family_key(spec, n)))
+    return _judge_estimate(name, spec, n, solve_family(*_family_key(spec, n)))
 
 
 def tangential_energy_check(domain: DomainSpec, u: np.ndarray, p: float, mu: float) -> dict:
@@ -514,7 +514,7 @@ def run_audit(
         spec = _resolved_spec(name, {})
         key = _family_key(spec, n)
         if key not in families:
-            families[key] = _solve_family(*key)
+            families[key] = list(solve_family(*key))
         checks.append(_judge_estimate(name, spec, n, families[key]))
 
     slab = build_domain(CUBIC_PERIODIC, n)

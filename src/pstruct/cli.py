@@ -15,14 +15,12 @@ import argparse
 import concurrent.futures
 import configparser
 import csv
-import functools
 import json
 import math
 import os
 import platform
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +34,7 @@ from .audit import ESTIMATE_NAMES
 from .constitutive import FULL_GRADIENT, SYMMETRIC_GRADIENT, ConstitutiveParams
 from .errors import ConfigError, PStructError
 from .grid import build_domain, save_field
-from .problems import RHS_IDS, SEEDED_RHS_IDS, ProblemSpec, RhsSpec, rhs_sample
+from .problems import RHS_IDS, SEEDED_RHS_IDS, ProblemSpec, RhsSpec
 
 COMMANDS = ("solve", "audit", "constants", "reconstruct", "sweep")
 OUTPUT_FORMATS = ("json", "csv", "fields")
@@ -457,36 +455,31 @@ def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
     return report
 
 
-def _sweep_point(args, base=None) -> dict:
-    """One sweep row; base is the SolveConfig whose settings other than eta
-    and outer_tol the point's solve uses (the defaults when None)."""
-    (idx, kind, n, structure, p, mu, amplitude, seed, rhs_id, eta, outer_tol) = args
+def _sweep_point(task) -> list:
+    """The rows of one (p, mu, seed) over its amplitudes, ascending, as one
+    audit.solve_family ladder under the SolveConfig base; indices[k] is the
+    index of the point at amplitudes[k]."""
+    (indices, kind, n, structure, p, mu, amplitudes, seed, rhs_id, base) = task
+    # the W^{2,2} estimate of the paper for this p, as the audit checks it
+    spec = audit_mod.ESTIMATE_SPECS["p_lt_2_W22" if p < 2.0 else "p_gt_2_W22"]
+    rows = []
     try:
         domain = build_domain(kind, n)
-        params = ConstitutiveParams(p=p, mu=mu, structure=structure)
-        f = rhs_sample(domain, rhs_id, amplitude, seed)
-        # each point is a direct solve at its own eta
-        base = solver.SolveConfig() if base is None else base
-        cfg = replace(base, eta=eta, outer_tol=outer_tol, continuation=None)
-        u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg)
-        # the W^{2,2} estimate of the paper for this p, as the audit checks it
-        spec = audit_mod.ESTIMATE_SPECS["p_lt_2_W22" if p < 2.0 else "p_gt_2_W22"]
-        lhs = audit_mod.lhs_value(domain, u, spec["lhs"], spec["q"])
-        rhs_val = audit_mod.rhs_value(domain, f, spec["rhs"], spec["q"], p)
+        for _, _, eta, amplitude, f, u, rep in audit_mod.solve_family(
+                kind, n, p, (mu,), structure, rhs_id, (seed,), amplitudes, base):
+            lhs = audit_mod.lhs_value(domain, u, spec["lhs"], spec["q"])
+            rhs_val = audit_mod.rhs_value(domain, f, spec["rhs"], spec["q"], p)
+            rows.append(dict(zip(SWEEP_COLUMNS, (
+                indices[len(rows)], kind, n, structure, p, mu, amplitude, seed, rhs_id, eta,
+                base.outer_tol, lhs, rhs_val, lhs / rhs_val, rep.iterations, rep.final_residual))))
     except PStructError as exc:
-        # keep the failing point identifiable when many points run, possibly
+        # keep the failing point identifiable when many ladders run, possibly
         # out of order in a worker pool
         raise PStructError(
-            f"sweep point index={idx} p={p:g} mu={mu:g} amplitude={amplitude:g} "
-            f"seed={seed}: {exc}"
+            f"sweep point index={indices[len(rows)]} p={p:g} mu={mu:g} "
+            f"amplitude={amplitudes[len(rows)]:g} seed={seed}: {exc}"
         ) from exc
-    return {
-        "index": idx, "kind": kind, "n": n, "structure": structure,
-        "p": p, "mu": mu, "amplitude": amplitude, "seed": seed,
-        "rhs_id": rhs_id, "eta": eta, "outer_tol": outer_tol,
-        "lhs": lhs, "rhs": rhs_val, "implied_constant": lhs / rhs_val,
-        "iterations": rep.iterations, "residual": rep.final_residual,
-    }
+    return rows
 
 
 SWEEP_COLUMNS = ("index", "kind", "n", "structure", "p", "mu", "amplitude", "seed",
@@ -535,9 +528,9 @@ def read_sweep_csv(path) -> list:
     return rows
 
 
-def _pool_size(workers: int, points: int) -> int:
-    """Worker processes for a sweep: no more than the points or the CPUs."""
-    return min(workers, points, _usable_cpus())
+def _pool_size(workers: int, ladders: int) -> int:
+    """Worker processes for a sweep: no more than the ladders or the CPUs."""
+    return min(workers, ladders, _usable_cpus())
 
 
 def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
@@ -550,34 +543,29 @@ def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     structure = config["params"]["structure"]
     rhs_id = config["rhs"]["id"]
     cfg = _build_solve_config(config)
-    points = []
-    idx = 0
-    for p in p_values:
-        for mu in mu_values:
-            eta = cfg.eta if mu > 0.0 else max(cfg.eta, audit_mod.ETA_FLOOR)
-            for amplitude in amplitudes:
-                for seed in seeds:
-                    points.append((idx, kind, n, structure, p, mu, amplitude, seed,
-                                   rhs_id, eta, cfg.outer_tol))
-                    idx += 1
+    points = [(p, mu, amplitude, seed) for p in p_values for mu in mu_values
+              for amplitude in amplitudes for seed in seeds]
+    ladder = tuple(sorted(set(amplitudes)))
 
-    def key(pt):
-        # (p, mu, amplitude), and the seed only if the forcing reads it:
-        # points equal in these are equal bit for bit and solved once
-        return pt[4:7] + ((pt[7],) if rhs_id in SEEDED_RHS_IDS else ())
+    def key(p, mu, seed):
+        # one ladder per (p, mu), and per seed only if the forcing reads it:
+        # points equal in this key and the amplitude are solved once
+        return (p, mu) + ((seed,) if rhs_id in SEEDED_RHS_IDS else ())
 
-    distinct = {}
-    for pt in points:
-        distinct.setdefault(key(pt), pt)
-    run_point = functools.partial(_sweep_point, base=cfg)
-    workers = _pool_size(sc["workers"], len(distinct))
+    ladders = {}  # its p, mu and seed, and the first index of each amplitude
+    for idx, (p, mu, amplitude, seed) in enumerate(points):
+        ladders.setdefault(key(p, mu, seed), (p, mu, seed, {}))[3].setdefault(amplitude, idx)
+    tasks = [(tuple(first[a] for a in ladder), kind, n, structure, p, mu, ladder, seed, rhs_id,
+              cfg) for p, mu, seed, first in ladders.values()]
+    workers = _pool_size(sc["workers"], len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(run_point, distinct.values()))
+            solved = list(pool.map(_sweep_point, tasks))
     else:
-        solved = [run_point(pt) for pt in distinct.values()]
-    by_key = dict(zip(distinct, solved))
-    rows = [{**by_key[key(pt)], "index": pt[0], "seed": pt[7]} for pt in points]
+        solved = [_sweep_point(task) for task in tasks]
+    by_point = {(k, row["amplitude"]): row for k, rows in zip(ladders, solved) for row in rows}
+    rows = [{**by_point[key(p, mu, seed), amplitude], "index": idx, "seed": seed}
+            for idx, (p, mu, amplitude, seed) in enumerate(points)]
     summary = aggregate_sweep(rows)
     report = {"command": "sweep", "config": config, "points": len(rows), "summary": summary}
     if "csv" in formats:

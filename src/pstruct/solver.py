@@ -39,7 +39,11 @@ its remaining outer steps, to one Galerkin V-cycle per iteration (multigrid
 module), built on each step's assembled matrix, whose count does not grow
 with the contrast.  The symmetric law keeps the scaled inversion (the comment
 on MULTIGRID_AFTER says why).  A solve stops with NoConvergence at max_outer
-or once its best residual has not improved for STALL_STEPS outer steps.
+or once its best residual has not improved for STALL_STEPS outer steps; the
+first time, it drops Anderson for plain steps instead, since on an energy flat
+to roundoff every candidate passes while the residual wanders.  An overflow of
+the forcing norm or the law raises NonFinite naming it; a candidate or trial
+whose energy overflows is rejected like any other that raises the energy.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -116,7 +120,8 @@ COEFFICIENT_FLOOR = 1e-12
 INNER_MAXITER = 20000
 
 # A solve stops with NoConvergence once its best relative residual has not
-# improved for this many outer steps.  Converging solves went at most 14
+# improved for this many outer steps; the first time, an Anderson-accelerated
+# solve goes on with plain steps instead.  Converging solves went at most 14
 # steps without a new best (criterion 5's p = 3 solve at n = 24; 0-1 in the
 # README examples and the perfbench workloads).  A p = 4, mu = 0, eta = 1e-8
 # solve on the n = 16 box is best at step 36, then wanders until its cap.
@@ -642,6 +647,7 @@ def energy(v: np.ndarray, problem: ProblemSpec, eta: float, pair=None) -> float:
     return float(quad * domain.h**3)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each overflow is raised by name
 def solve(
     problem: ProblemSpec, config: SolveConfig, initial: Optional[np.ndarray] = None
 ):
@@ -651,7 +657,8 @@ def solve(
     below config.outer_tol.  Returns (field, SolveReport); raises
     NoConvergence, with the report and the best iterate attached, if the
     budget runs out or the best residual has not improved for STALL_STEPS
-    outer steps, NonFinite on a NaN or infinite residual or energy, and
+    outer steps (twice, with Anderson on: the first time it goes on with
+    plain steps), NonFinite on a NaN or infinite residual or energy, and
     DegenerateConfig for eta = mu = 0 at p != 2 (go through continuation).
     """
     domain, params = problem.domain, problem.params
@@ -663,6 +670,8 @@ def solve(
     f = apply_constraints(domain, problem.forcing().copy())
     report = SolveReport()
     fnorm = _l2(f)
+    if not np.isfinite(fnorm):
+        raise NonFinite(f"forcing norm is {fnorm}: its sum of squares overflowed")
     if fnorm == 0.0:
         report.converged = True
         return np.zeros_like(f), report
@@ -678,6 +687,7 @@ def solve(
     e_cur = energy(v, problem, config.eta, pair)
     use_multigrid = False
     best = (np.inf, 0, v)  # relative residual, step and iterate
+    depth, plain_from = ANDERSON_DEPTH, 0  # plain steps only from step plain_from on
     # Anderson differences of f and g, their Gram matrix and the last (f, g)
     dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
     for it in range(config.max_outer + 1):
@@ -686,8 +696,15 @@ def solve(
         matrix = _frozen_matrix(domain, a_plus, a_minus, config.eta, params.structure)
         x_cur = _free(domain, v)
         r = b - matrix.dot(x_cur)
-        res = _require_finite(_l2(r) / fnorm, "relative residual")
-        _require_finite(e_cur, "energy")
+        res = _l2(r) / fnorm
+        if not (np.isfinite(res) and np.isfinite(e_cur)):
+            what = f"relative residual is {res}" if not np.isfinite(res) else f"energy is {e_cur}"
+            # with finite data and a finite iterate, the law's powers overflowed
+            if np.isfinite([params.p, params.mu, config.eta]).all() and np.isfinite(x_cur).all():
+                grad = max(float(np.max(m)) for _, m in pair.law_magnitudes(params.structure))
+                what += (f": the law overflowed at outer step {it} (p = {params.p:g}, "
+                         f"max |G v| = {grad:.3e})")
+            raise NonFinite(what)
         report.residual_history.append(res)
         report.energy_history.append(e_cur)
         report.iterations = it
@@ -697,7 +714,11 @@ def solve(
             return v, report
         if res < best[0]:
             best = (res, it, v)
-        if it == config.max_outer or it - best[1] >= STALL_STEPS:
+        if it - max(best[1], plain_from) >= STALL_STEPS and depth:
+            # stalled with Anderson on: go on with plain steps (module docstring)
+            depth, plain_from = 0, it
+            dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
+        if it == config.max_outer or it - max(best[1], plain_from) >= STALL_STEPS:
             break
         inner_rtol = max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
         if use_multigrid:
@@ -721,7 +742,7 @@ def solve(
             dgs.append(x - last[1])
             gram = np.pad(gram, (0, 1))
             gram[-1] = gram[:, -1] = [np.sum(d * dfs[-1]) for d in dfs]
-            if len(dfs) > ANDERSON_DEPTH:
+            if len(dfs) > depth:
                 del dfs[0], dgs[0]
                 gram = gram[1:, 1:]
         last = (fk, x)

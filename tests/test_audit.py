@@ -64,8 +64,9 @@ def test_estimate_constants_evaluates_the_sample_path_once_per_q(monkeypatch, q_
     monkeypatch.setattr(audit, "_ratio_table", counted)
     got = audit.estimate_constants(box, q_list, samples=3, seed=1)
     assert got == (table, c4, audit.growth_fit(table), max([c4] + list(table.values())))
-    # q = 2 comes from the table when it is listed, otherwise from estimate_c4
-    assert calls == ([q_list] if 2.0 in q_list else [q_list, (2.0,)])
+    # q = 2 is taken in the same pass, listed or not, and reported only if listed
+    assert calls == [q_list + (2.0,)]
+    assert set(got[0]) == set(q_list)
 
 
 def test_constant_estimators_validate_q():
@@ -346,3 +347,38 @@ def test_a_spec_that_changes_the_problems_stops_the_sharing(monkeypatch):
     assert len(calls) == 48 + 48 + 1
     assert len(set(calls)) == len(calls)
     assert [c["inputs"]["p"] for c in report.estimate_checks] == [2.5, 2.6]
+
+
+def test_solve_family_climbs_past_an_anderson_stall():
+    # p = 1.2, mu = 0 on the slab: the amplitude-4 rung, started from the
+    # amplitude-1 solution scaled by 4^5, has an energy flat to roundoff, so
+    # every Anderson candidate passes the safeguard while the residual
+    # wanders; the solve stalled there until it fell back to plain steps
+    base = audit.solver.SolveConfig()
+    rungs = list(audit.solve_family("cubic_periodic", 16, 1.2, (0.0,), "full", "smooth-trig",
+                                    (101,), (4.0, 0.25, 1.0), base))
+    assert [r[3] for r in rungs] == [0.25, 1.0, 4.0]
+    for seed, mu, eta, amp, f, u, rep in rungs:
+        assert (seed, mu, eta) == (101, 0.0, audit.ETA_FLOOR)
+        assert rep.converged and rep.final_residual <= base.outer_tol
+    assert rungs[-1][-1].iterations > audit.solver.STALL_STEPS
+
+
+def test_solve_family_eta_is_the_base_eta_raised_to_the_floor_at_mu_zero(monkeypatch):
+    etas = []
+    solve = audit.solver.solve
+
+    def recording(problem, config, initial=None):
+        etas.append((problem.params.mu, config.eta, config.max_outer, initial is None))
+        return solve(problem, config, initial=initial)
+
+    monkeypatch.setattr(audit.solver, "solve", recording)
+    for base_eta in (0.0, 1e-3):
+        base = audit.solver.SolveConfig(eta=base_eta, max_outer=150)
+        list(audit.solve_family("dirichlet_box", 8, 1.5, (0.0, 0.1), "full", seeds=(101,),
+                                amplitudes=(1.0, 2.0), base=base))
+    floor = audit.ETA_FLOOR
+    assert etas == [(0.0, floor, 150, True), (0.0, floor, 150, False),
+                    (0.1, 0.0, 150, True), (0.1, 0.0, 150, False),
+                    (0.0, 1e-3, 150, True), (0.0, 1e-3, 150, False),
+                    (0.1, 1e-3, 150, True), (0.1, 1e-3, 150, False)]

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import pstruct
-from pstruct import cli
-from pstruct.errors import ConfigError, PStructError, TooCoarse
+from pstruct import audit, cli
+from pstruct.errors import ConfigError, NoConvergence, PStructError, TooCoarse
 from pstruct.grid import load_field
 
 
@@ -538,6 +538,19 @@ def test_reconstruct_command(tmp_path):
     assert report["reconstruction_rel_l2"] < 1.0
 
 
+@pytest.mark.parametrize("override, cause", [
+    ("params.p=40", "the law overflowed at outer step"),
+    ("params.p=30", "the law overflowed at outer step"),
+    ("rhs.amplitude=1e200", "forcing norm is inf: its sum of squares overflowed"),
+])
+def test_an_overflow_is_named_and_warns_nothing(tmp_path, capsys, recwarn, override, cause):
+    # each used to exit with only "relative residual is nan", after numpy's
+    # overflow warnings reached stderr
+    assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
+    assert cause in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_reconstruct_gate_failure_exits_2(tmp_path, capsys):
     code = run_cli(
         "reconstruct",
@@ -689,14 +702,86 @@ def test_empty_sweep(tmp_path):
 
 def test_sweep_point_failure_names_the_point():
     # n below the coarseness floor: the wrapped error must carry the point
-    point = (7, "cubic_periodic", 4, "full", 1.5, 0.1, 2.0, 101,
-             "smooth-trig", 0.0, 1e-9)
+    ladder = ((7,), "cubic_periodic", 4, "full", 1.5, 0.1, (2.0,), 101,
+              "smooth-trig", cli.solver.SolveConfig())
     with pytest.raises(PStructError) as exc:
-        cli._sweep_point(point)
+        cli._sweep_point(ladder)
     msg = str(exc.value)
     for token in ("index=7", "p=1.5", "mu=0.1", "amplitude=2", "seed=101"):
         assert token in msg
     assert isinstance(exc.value.__cause__, TooCoarse)
+
+
+def test_sweep_ladder_failure_names_the_failing_rung(monkeypatch):
+    solve = cli.solver.solve
+
+    def second_fails(problem, config, initial=None):
+        if initial is not None:
+            raise NoConvergence("no convergence in 0 outer iterations")
+        return solve(problem, config, initial=initial)
+
+    monkeypatch.setattr(cli.solver, "solve", second_fails)
+    ladder = ((3, 11, 19), "cubic_periodic", 8, "full", 1.5, 0.1, (1.0, 4.0, 16.0), 102,
+              "smooth-trig", cli.solver.SolveConfig())
+    with pytest.raises(PStructError, match="sweep point index=11 p=1.5 mu=0.1 amplitude=4 "
+                                           "seed=102: no convergence") as exc:
+        cli._sweep_point(ladder)
+    assert isinstance(exc.value.__cause__, NoConvergence)
+
+
+def _config_args(tmp_path, config):
+    return [arg for section, keys in config.items() for key, value in keys.items()
+            for arg in ("--set", f"{section}.{key}={value}")] + \
+        ["--set", f"output.directory={tmp_path / 'out'}"]
+
+
+def test_sweep_rows_are_the_audit_rows_bit_for_bit(tmp_path):
+    # the sweep solves each (p, mu, seed) as the audit's amplitude ladder, so
+    # on the audit's own family its rows are the audit's
+    name = "p_lt_2_W22"
+    spec = audit.ESTIMATE_SPECS[name]
+    config = {
+        "domain": {"kind": spec["kind"], "n": 8},
+        "params": {"structure": spec["structure"]},
+        "rhs": {"id": audit.RHS_ID},
+        "solver": {"outer_tol": audit.OUTER_TOL, "max_outer": audit.MAX_OUTER},
+        "sweep": {"p_values": spec["p"],
+                  "mu_values": ",".join(map(str, spec["mu_values"])),
+                  "amplitudes": ",".join(map(str, audit.AMPLITUDES)),
+                  "seeds": ",".join(map(str, audit.SHAPE_SEEDS))},
+    }
+    assert run_cli("sweep", *_config_args(tmp_path, config)) == 0
+    rows = cli.read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
+    checked = audit.verify_estimate(name, n=8)["rows"]
+    assert len(rows) == len(checked) == 24
+    want = {(r["seed"], r["mu"], r["amplitude"]): r for r in checked}
+    for row in rows:
+        them = want[row["seed"], row["mu"], row["amplitude"]]
+        assert (row["lhs"], row["rhs"], row["implied_constant"], row["eta"]) \
+            == (them["lhs"], them["rhs"], them["ratio"], them["eta"])
+        assert (row["iterations"], row["residual"]) == (them["iterations"], them["residual"])
+
+
+def test_sweep_runs_one_pool_task_per_ladder(tmp_path, monkeypatch):
+    # the benchmark's shape: 2 p x 2 mu x 2 seeds of a seeded forcing are 8
+    # ladders, each over the 4 amplitudes, listed out of order here
+    tasks, sweep_point = [], cli._sweep_point
+
+    def counted(task):
+        tasks.append(task)
+        return sweep_point(task)
+
+    monkeypatch.setattr(cli, "_sweep_point", counted)
+    args = base_args(tmp_path, "--set", "rhs.id=band-limited-random",
+                     "--set", "sweep.p_values=1.5,1.8", "--set", "sweep.mu_values=0,0.1",
+                     "--set", "sweep.amplitudes=4,0.25,16,1", "--set", "sweep.seeds=7,8")
+    assert run_cli("sweep", *args) == 0
+    assert len(tasks) == 8
+    assert all(task[6] == (0.25, 1.0, 4.0, 16.0) for task in tasks)
+    rows = cli.read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
+    assert [r["index"] for r in rows] == list(range(32))
+    assert [r["amplitude"] for r in rows[:8]] == [4.0, 4.0, 0.25, 0.25, 16.0, 16.0, 1.0, 1.0]
+    assert [r["seed"] for r in rows[:2]] == [7, 8]
 
 
 def test_aggregate_sweep_flags_large_spread():

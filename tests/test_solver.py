@@ -622,6 +622,29 @@ def test_solve_raises_on_non_finite_residual_or_energy(mu, eta):
         solver.solve(make_problem(dom, 2.0, mu), solver.SolveConfig(eta=eta))
 
 
+@pytest.mark.parametrize("overflowed", [1, 4])
+def test_an_overflowing_trial_or_candidate_energy_is_rejected(monkeypatch, recwarn, overflowed):
+    # call 1 is the first step's line-search trial, call 4 an Anderson
+    # candidate; each overflows to inf and then to inf - inf = nan, inside
+    # the solve's own floating-point state, so no warning is issued
+    dom = grid.build_domain("dirichlet_box", 8)
+    prob = make_problem(dom, 1.5, 0.1)
+    calls, energy = [], solver.energy
+
+    def overflowing(*args):
+        calls.append(1)
+        if len(calls) - 1 in (overflowed, overflowed + 1):
+            huge = np.float64(1e308) * 10.0
+            return float(huge if len(calls) - 1 == overflowed else huge - huge)
+        return energy(*args)
+
+    monkeypatch.setattr(solver, "energy", overflowing)
+    v, report = solver.solve(prob, solver.SolveConfig(eta=0.0, outer_tol=1e-10))
+    assert report.converged
+    assert report.backtracks + report.restarts >= 2
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_accepted_trial_energy_is_carried_forward(monkeypatch):
     dom = grid.build_domain("dirichlet_box", 12)
     prob = make_problem(dom, 1.5, 0.1)
