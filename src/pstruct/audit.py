@@ -86,7 +86,10 @@ def check_q_list(q_list) -> None:
         raise ValueError(f"need at least two q values in [4, 16], got {len(fit)}")
 
 
-def _ratio_table(domain: DomainSpec, q_list, samples: int, seed: int) -> dict:
+def c5_table(domain: DomainSpec, q_list=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0),
+             samples: int = 20, seed: int = 0) -> dict:
+    """Max of ||D2 v||_q / ||Lap v||_q over the sample family (interior
+    sums), for every q of q_list in one pass over the samples."""
     _check_q_range(q_list)
     table = {float(q): 0.0 for q in q_list}
     for v in _sample_fields(domain, samples, seed):
@@ -102,19 +105,13 @@ def _ratio_table(domain: DomainSpec, q_list, samples: int, seed: int) -> dict:
 
 
 def estimate_c4(domain: DomainSpec, samples: int = 20, seed: int = 0) -> float:
-    """Max of ||D2 v||_2 / ||Lap v||_2 over the sample family (interior sums)."""
-    return _ratio_table(domain, (2.0,), samples, seed)[2.0]
+    """c5_table's q = 2 entry."""
+    return c5_table(domain, (2.0,), samples, seed)[2.0]
 
 
 def estimate_c5(domain: DomainSpec, q: float, samples: int = 20, seed: int = 0) -> float:
-    """Same ratio in L^q; shares the sample path, so q = 2 reproduces c4."""
-    return _ratio_table(domain, (float(q),), samples, seed)[float(q)]
-
-
-def c5_table(domain: DomainSpec, q_list=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0),
-             samples: int = 20, seed: int = 0) -> dict:
-    """One pass over the samples evaluating every requested q."""
-    return _ratio_table(domain, q_list, samples, seed)
+    """c5_table's entry at q; it shares the sample path, so q = 2 reproduces c4."""
+    return c5_table(domain, (float(q),), samples, seed)[float(q)]
 
 
 def estimate_constants(domain: DomainSpec, q_list, samples: int, seed: int):
@@ -126,24 +123,25 @@ def estimate_constants(domain: DomainSpec, q_list, samples: int, seed: int):
     return table, c4, growth_fit(table), max([c4] + list(table.values()))
 
 
-def growth_fit(table: dict, window=Q_WINDOW) -> dict:
-    """Bracket c5(q)/q on the window and fit a linear growth slope.
+def growth_fit(table: dict) -> dict:
+    """Bracket c5(q)/q on Q_WINDOW and fit a linear growth slope.
 
     k1_hat/k2_hat are the min/max of c5(q)/q; the least-squares slope of
     c5(q) against q (through the origin) is reported alongside.  Whether the
     linear-growth window is visible at desk resolution is an open question,
     so these are reported, never asserted.
     """
-    qs = np.array([q for q in sorted(table) if window[0] <= q <= window[1]])
+    lo, hi = Q_WINDOW
+    qs = np.array([q for q in sorted(table) if lo <= q <= hi])
     if qs.size < 2:
-        raise ValueError(f"need at least two q values in {window}, got {qs.size}")
+        raise ValueError(f"need at least two q values in {Q_WINDOW}, got {qs.size}")
     vals = np.array([table[q] for q in qs])
     per_q = vals / qs
     return {
         "k1_hat": float(np.min(per_q)),
         "k2_hat": float(np.max(per_q)),
         "ls_slope": float(np.sum(qs * vals) / np.sum(qs * qs)),
-        "window": [float(window[0]), float(window[1])],
+        "window": [lo, hi],
     }
 
 

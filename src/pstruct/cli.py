@@ -375,7 +375,7 @@ def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
             )
     if "fields" in formats:
         (outdir / "fields").mkdir(parents=True, exist_ok=True)
-        save_field(outdir / "fields" / "solution.bin", domain, v, fmt="bin")
+        save_field(outdir / "fields" / "solution.bin", domain, v)
     return report
 
 
@@ -450,8 +450,8 @@ def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
     }
     if "fields" in formats:
         (outdir / "fields").mkdir(parents=True, exist_ok=True)
-        save_field(outdir / "fields" / "ratio.bin", problem.domain, check["ratio"], fmt="bin")
-        save_field(outdir / "fields" / "solution.bin", problem.domain, v, fmt="bin")
+        save_field(outdir / "fields" / "ratio.bin", problem.domain, check["ratio"])
+        save_field(outdir / "fields" / "solution.bin", problem.domain, v)
     return report
 
 

@@ -48,11 +48,6 @@ class ConstitutiveParams:
         if self.structure not in _STRUCTURES:
             raise ValueError(f"structure must be one of {_STRUCTURES}, got {self.structure!r}")
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the law loses uniform ellipticity at zero argument."""
-        return self.mu == 0.0
-
 
 def tensor_norm(a: np.ndarray) -> np.ndarray:
     """Frobenius norm over the trailing 3x3 axes."""

@@ -405,49 +405,39 @@ def mollify(domain: DomainSpec, field: np.ndarray, eps: float) -> np.ndarray:
 
 # --- serialization ---------------------------------------------------------
 #
-# A field file is a one-line JSON header {"kind", "n", "components"} followed
-# by the node data ordered component-major with x fastest.  "bin" stores raw
-# little-endian float64, "csv" one %.17g value per line; both round-trip
-# bit-exactly.
+# A field file is a one-line JSON header {"components", "fmt": "bin", "kind",
+# "n"} followed by the node data as raw little-endian float64, ordered
+# component-major with x fastest; it round-trips bit-exactly.
 
 
 def _x_fastest(values: np.ndarray) -> np.ndarray:
     return np.moveaxis(values, (-3, -2, -1), (-1, -2, -3))
 
 
-def save_field(path, domain: DomainSpec, values: np.ndarray, fmt: str = "bin") -> None:
-    if fmt not in ("bin", "csv"):
-        raise ValueError(f"fmt must be 'bin' or 'csv', got {fmt!r}")
+def save_field(path, domain: DomainSpec, values: np.ndarray) -> None:
     values = np.ascontiguousarray(values, dtype=float)
     header = {
         "kind": domain.kind,
         "n": domain.n,
         "components": list(values.shape[:-3]),
-        "fmt": fmt,
+        "fmt": "bin",
     }
     flat = np.ascontiguousarray(_x_fastest(values)).ravel()
-    if fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-            fh.write(flat.astype("<f8").tobytes())
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            fh.writelines(f"{v:.17g}\n" for v in flat)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+        fh.write(flat.astype("<f8").tobytes())
 
 
 def load_field(path):
     """Read a field written by save_field; returns (DomainSpec, values)."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
+        if header.get("fmt", "bin") != "bin":
+            raise ValueError(f"unknown field format {header['fmt']!r}, expected 'bin'")
         domain = build_domain(header["kind"], header["n"])
         comps = tuple(header["components"])
         count = int(np.prod(comps, dtype=int)) * int(np.prod(domain.shape))
-        rest = fh.read()
-    if header.get("fmt", "bin") == "bin":
-        flat = np.frombuffer(rest, dtype="<f8", count=count).copy()
-    else:
-        flat = np.array([float(tok) for tok in rest.decode("ascii").split()])
+        flat = np.frombuffer(fh.read(), dtype="<f8", count=count).copy()
     if flat.size != count:
         raise ValueError(f"field file holds {flat.size} values, expected {count}")
     shape = comps + (domain.shape[2], domain.shape[1], domain.shape[0])

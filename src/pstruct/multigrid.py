@@ -21,12 +21,12 @@ in A's CSR data: one sparse map per level takes a level's data to the next
 coarser level's, so a set-up costs one sparse mat-vec per level, the
 smoothers' diagonals and row sums, and the coarsest factor (0.4-0.7 ms on
 the box and 0.6-0.9 ms on the slab at n = 16, about half of what two sparse
-matrix products per level took).  The fine pattern is the full law's 7-point
-one; VCycle raises ValueError on a matrix with another, whose data the maps
-would misread.  interpolations(domain) and the maps, _levels(domain), depend
-on the domain only and are cached; they are built on the first V-cycle's
-set-up (about 35-80 ms at n = 16, 0.4-0.7 s at n = 32), never at import or
-by the matrix-free operators.
+matrix products per level took).  The fine pattern is the first block of
+the full law's solver._assembly; VCycle raises ValueError on a matrix with
+another, whose data the maps would misread.  interpolations(domain) and the
+maps, _levels(domain), depend on the domain only and are cached; they are
+built on the first V-cycle's set-up (about 35-80 ms at n = 16, 0.4-0.7 s at
+n = 32), never at import or by the matrix-free operators.
 
 Smoother.  Two damped Jacobi sweeps before and two after the coarse
 correction, x += OMEGA D^{-1} (r - A x), with D the larger of the diagonal
@@ -116,25 +116,6 @@ def interpolations(domain: DomainSpec) -> tuple:
     return tuple(out)
 
 
-def _fine_pattern(domain: DomainSpec) -> sp.csr_matrix:
-    """The pattern of the full law's scalar block: every free node and its
-    free neighbours along each axis, in interpolations' node order."""
-    steps = []
-    for ax in range(3):
-        if domain.is_periodic(ax):
-            m = domain.shape[ax]
-            steps.append(sp.diags([1.0] * 5, [1 - m, -1, 0, 1, m - 1], shape=(m, m)))
-        else:
-            m = domain.shape[ax] - 2
-            steps.append(sp.diags([1.0] * 3, [-1, 0, 1], shape=(m, m)))
-    eye = [sp.identity(t.shape[0]) for t in steps]
-    pattern = (sp.kron(steps[0], sp.kron(eye[1], eye[2]))
-               + sp.kron(eye[0], sp.kron(steps[1], eye[2]))
-               + sp.kron(eye[0], sp.kron(eye[1], steps[2]))).tocsr()
-    pattern.sum_duplicates()
-    return pattern
-
-
 def _galerkin_map(pattern: sp.csr_matrix, p: sp.csr_matrix):
     """The CSR pattern of P^T A P for every A on pattern, and the sparse map
     from A's data to its data: coarse entry (I, J) sums P[k, I] P[l, J] a_kl
@@ -182,8 +163,15 @@ def _diagonal(pattern: sp.csr_matrix) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _levels(domain: DomainSpec) -> tuple:
-    """domain's hierarchy, finest level first, for VCycle's set-up."""
-    pattern = _fine_pattern(domain)
+    """domain's hierarchy, finest level first, for VCycle's set-up.  The
+    finest pattern is the full law assembly's first block."""
+    from .solver import _assembly  # solver imports this module
+
+    asm = _assembly(domain, "full")
+    nodes = asm.size // 3
+    indices = asm.indices[: asm.indptr[nodes]]
+    pattern = sp.csr_matrix((np.ones(indices.size), indices, asm.indptr[: nodes + 1]),
+                            shape=(nodes, nodes))
     out = []
     for p in interpolations(domain):
         coarse, galerkin = _galerkin_map(pattern, p)

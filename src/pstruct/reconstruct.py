@@ -28,7 +28,6 @@ __all__ = [
     "NormalSystem",
     "assemble_normal_system",
     "solve_normal",
-    "reconstruct_dzz",
     "pointwise_bound_check",
 ]
 
@@ -49,14 +48,11 @@ MEAN_FLOOR = 1e-8
 class NormalSystem:
     """Batched 3x3 systems a x = g, one per node.
 
-    a has shape (3, 3, *nodes), g has (3, *nodes).  context carries the
-    fields the quadratic-form identity is stated in: base = mu + |Du|, the
-    gradient the law acts on, and (p, mu, structure).
+    a has shape (3, 3, *nodes), g has (3, *nodes).
     """
 
     a: np.ndarray
     g: np.ndarray
-    context: dict
 
     def quadratic_form(self, xi: np.ndarray) -> np.ndarray:
         """xi^T a xi for a direction field xi of shape (3, *nodes)."""
@@ -119,8 +115,7 @@ def assemble_normal_system(
     w[_Z] -= np.einsum("l...,l...->...", nvec, t[:, _Z, _Z])
     coupling = np.einsum("jk...,k...->j...", du, w)
     gvec = -load - law * (p - 2.0) * inv * coupling - law * base ** (2.0 - p) * f
-    context = {"base": base, "du": du, "p": p, "mu": mu, "structure": structure}
-    return NormalSystem(a, gvec, context)
+    return NormalSystem(a, gvec)
 
 
 def solve_normal(system: NormalSystem) -> np.ndarray:
@@ -136,20 +131,6 @@ def solve_normal(system: NormalSystem) -> np.ndarray:
     gm = np.moveaxis(gvec.reshape(3, -1), -1, 0)
     x = np.linalg.solve(am, gm[..., None])[..., 0]
     return np.moveaxis(x, 0, -1).reshape((3,) + nshape)
-
-
-def reconstruct_dzz(
-    domain: DomainSpec,
-    u: np.ndarray,
-    f: np.ndarray,
-    p: float,
-    mu: float,
-    structure: str = "symmetric",
-) -> np.ndarray:
-    """Assemble from discrete derivatives of u and solve, in one call."""
-    du = g.gradient(domain, u, structure)
-    d2 = g.second_derivatives(domain, u)
-    return solve_normal(assemble_normal_system(du, d2, f, p, mu, structure))
 
 
 def pointwise_bound_check(

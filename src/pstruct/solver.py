@@ -9,11 +9,13 @@ least-squares solution of dF gamma = f_k.  The candidate is the next iterate
 if its energy is finite and at most the current one plus a roundoff slack.
 Otherwise the history is dropped and the step is the plain Kacanov one,
 guarded by a backtracking line search on the energy; a step shortened by it
-drops the history as well.  Each iterate's one-sided gradient pair is built
-once, in one differencing pass per axis (the backward differences are the
-forward ones shifted by one node), for the candidate or trial the step tests.
-Its law magnitudes |T+-| are taken once too: the trial's energy takes them
-and keeps them on the pair, and the next step's coefficient reuses them.
+drops the history as well, and a step whose 40 halvings all raise the energy
+stops the solve with NoConvergence.  Each iterate's one-sided gradient pair
+is built once, in one differencing pass per axis (the backward differences
+are the forward ones shifted by one node), for the candidate or trial the
+step tests.  Its law magnitudes |T+-| are taken once too: the trial's energy
+takes them and keeps them on the pair, and the next step's coefficient
+reuses them.
 On the full law the energy's eta term and the law share the squares |G+-|^2.
 Only the residual and energy histories are recorded per step; norms of the
 solution are the caller's, on the converged field.  Inner loop: one
@@ -76,7 +78,7 @@ times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -250,24 +252,11 @@ class SolveReport:
     path_totals: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-            "residual_history": [float(r) for r in self.residual_history],
-            "energy_history": [float(e) for e in self.energy_history],
-            "continuation_trace": [
-                {"eta": e, "mu": m, "d2_norm": d, "step_change": c}
-                for (e, m, d, c) in self.continuation_trace
-            ],
-            "floor_active": self.floor_active,
-            "inner_iterations": self.inner_iterations,
-            "backtracks": self.backtracks,
-            "accelerated": self.accelerated,
-            "restarts": self.restarts,
-        }
-        if self.path_totals is not None:
-            out["path_totals"] = dict(self.path_totals)
+        out = asdict(self)
+        out["continuation_trace"] = [dict(zip(("eta", "mu", "d2_norm", "step_change"), step))
+                                     for step in self.continuation_trace]
+        if self.path_totals is None:
+            del out["path_totals"]
         return out
 
 
@@ -656,12 +645,17 @@ def solve(
     Stops when the relative l2 residual of the discrete strong form drops
     below config.outer_tol.  Returns (field, SolveReport); raises
     NoConvergence, with the report and the best iterate attached, if the
-    budget runs out or the best residual has not improved for STALL_STEPS
+    budget runs out, the best residual has not improved for STALL_STEPS
     outer steps (twice, with Anderson on: the first time it goes on with
-    plain steps), NonFinite on a NaN or infinite residual or energy, and
-    DegenerateConfig for eta = mu = 0 at p != 2 (go through continuation).
+    plain steps) or 40 halvings of a step all raise the energy, NonFinite on
+    a NaN or infinite residual or energy, and DegenerateConfig for a config
+    with a continuation path (that is continuation_solve's) or for eta = mu =
+    0 at p != 2 (go through continuation).
     """
     domain, params = problem.domain, problem.params
+    if config.continuation is not None:
+        raise DegenerateConfig("solve takes no continuation path: walk it with "
+                               "continuation_solve")
     if config.eta == 0.0 and params.mu == 0.0 and params.p != 2.0:
         raise DegenerateConfig(
             "eta = 0 and mu = 0: the degenerate problem is reachable only as a "
@@ -764,15 +758,25 @@ def solve(
             dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
         delta = _field(domain, x) - v
         # the Kacanov step is a strict descent direction of the (exactly
-        # consistent) energy.  After 40 halvings the step is taken regardless;
-        # a shortened step drops the history's last pair.
-        theta = 1.0
+        # consistent) energy, so 40 halvings that all raise it leave no step
+        # to take, and the solve stops rather than go uphill; a shortened step
+        # drops the history's last pair
+        theta, overflowed = 1.0, False
         for halvings in range(41):
             trial = v + theta * delta
             pair = _pm_gradients(domain, trial)
             e_next = energy(trial, problem, config.eta, pair)
-            if e_next <= e_cur + slack or halvings == 40:
+            if e_next <= e_cur + slack:
                 break
+            overflowed |= not np.isfinite(e_next)
+            if halvings == 40:
+                cause = "the law overflowed" if overflowed else "line search failed"
+                raise NoConvergence(
+                    f"{cause} at outer step {it}: 40 halvings of the Kacanov step all raise "
+                    f"the energy {e_cur:.6e} (the last to {e_next:.6e}; p = {params.p:g})",
+                    field=best[2],
+                    report=report,
+                )
             theta *= 0.5
             report.backtracks += 1
         if halvings:
@@ -805,8 +809,10 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
     trace = []
     growth = 0
     report = None
-    totals = dict.fromkeys(("solves", "outer", "inner", "backtracks", "accelerated",
-                            "restarts"), 0)
+    # path_totals' names of the SolveReport counts it sums
+    counts = {"outer": "iterations", "inner": "inner_iterations", "backtracks": "backtracks",
+              "accelerated": "accelerated", "restarts": "restarts"}
+    totals = dict.fromkeys(("solves", *counts), 0)
     prev_delta = None
     for eta_j, mu_j in zip(path.eta_path, path.mu_path):
         params_j = replace(problem.params, mu=mu_j)
@@ -814,11 +820,8 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
         cfg_j = replace(config, eta=eta_j, continuation=None)
         v_new, report = solve(prob_j, cfg_j, initial=v)
         totals["solves"] += 1
-        totals["outer"] += report.iterations
-        totals["inner"] += report.inner_iterations
-        totals["backtracks"] += report.backtracks
-        totals["accelerated"] += report.accelerated
-        totals["restarts"] += report.restarts
+        for name, count in counts.items():
+            totals[name] += getattr(report, count)
         d2n = g.norm(problem.domain, g.second_derivatives(problem.domain, v_new))
         delta = None  # no step change for the path's first solve
         if v is not None:
@@ -851,15 +854,6 @@ class FrozenReport:
     iterations: int
     converged: bool
     final_update: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "coef_max": self.coef_max,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_update": self.final_update,
-        }
 
 
 def frozen_linear_solve(

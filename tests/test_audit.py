@@ -55,13 +55,13 @@ def test_estimate_constants_evaluates_the_sample_path_once_per_q(monkeypatch, q_
     c4 = audit.estimate_c4(box, samples=3, seed=1)
     table = audit.c5_table(box, q_list=q_list, samples=3, seed=1)
     calls = []
-    ratio_table = audit._ratio_table
+    c5_table = audit.c5_table
 
-    def counted(domain, qs, samples, seed):
-        calls.append(tuple(qs))
-        return ratio_table(domain, qs, samples, seed)
+    def counted(domain, q_list, samples, seed):
+        calls.append(tuple(q_list))
+        return c5_table(domain, q_list, samples, seed)
 
-    monkeypatch.setattr(audit, "_ratio_table", counted)
+    monkeypatch.setattr(audit, "c5_table", counted)
     got = audit.estimate_constants(box, q_list, samples=3, seed=1)
     assert got == (table, c4, audit.growth_fit(table), max([c4] + list(table.values())))
     # q = 2 is taken in the same pass, listed or not, and reported only if listed
@@ -91,8 +91,9 @@ def test_growth_fit_exact_hand_table():
 
 
 def test_growth_fit_needs_two_points():
+    # one q in [4, 16]; 2 and 32 lie outside it
     with pytest.raises(ValueError):
-        audit.growth_fit({2.0: 1.0, 4.0: 1.0}, window=(8.0, 16.0))
+        audit.growth_fit({2.0: 1.0, 8.0: 1.0, 32.0: 1.0})
 
 
 # ---------------------------------------------------------------- exponent map

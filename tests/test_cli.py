@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import pstruct
-from pstruct import audit, cli
+from pstruct import audit, cli, solver
 from pstruct.errors import ConfigError, NoConvergence, PStructError, TooCoarse
 from pstruct.grid import load_field
 
@@ -549,6 +549,33 @@ def test_an_overflow_is_named_and_warns_nothing(tmp_path, capsys, recwarn, overr
     assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
     assert cause in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_failed_line_search_stops_after_one_inner_solve(tmp_path, capsys, monkeypatch):
+    # at p = 25 the start's coefficients are about 1e-23, so the first
+    # Kacanov step is far too long: the law overflows on its longest trials
+    # and all 40 halvings raise the energy.  Taking the last of them anyway
+    # would run the next inner solve to INNER_MAXITER at a coefficient
+    # contrast of about 1e83
+    energies, inner = [], []
+    energy, pcg = solver.energy, solver._pcg
+
+    def counting_energy(*args):
+        energies.append(None)
+        return energy(*args)
+
+    def counting_pcg(*args):
+        inner.append(None)
+        x, k = pcg(*args)
+        inner[-1] = k
+        return x, k
+
+    monkeypatch.setattr(solver, "energy", counting_energy)
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    assert run_cli("solve", *base_args(tmp_path, "--set", "params.p=25")) == 2
+    assert "error: the law overflowed at outer step 0: 40 halvings" in capsys.readouterr().err
+    assert len(energies) <= 42
+    assert len(inner) == 1 and inner[0] < solver.INNER_MAXITER // 100
 
 
 def test_reconstruct_gate_failure_exits_2(tmp_path, capsys):

@@ -43,8 +43,6 @@ def test_params_validation():
         ConstitutiveParams(p=2.0, mu=-0.1)
     with pytest.raises(ValueError):
         ConstitutiveParams(p=2.0, structure="skew")
-    assert ConstitutiveParams(p=1.5, mu=0.0).degenerate
-    assert not ConstitutiveParams(p=1.5, mu=0.5).degenerate
 
 
 def test_stress_zero_tensor_limit():

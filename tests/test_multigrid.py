@@ -106,6 +106,48 @@ def test_vcycle_rejects_a_matrix_off_its_pattern(kind):
         multigrid.VCycle(dom, solver._frozen_matrix(dom, a * mp, a * mm, 0.0, "symmetric"))
 
 
+def seven_point_pattern(dom):
+    """Every free node and its free neighbours along each axis, in
+    interpolations' node order, built from Kronecker products of 1D steps."""
+    steps = []
+    for ax in range(3):
+        if dom.is_periodic(ax):
+            m = dom.shape[ax]
+            steps.append(sp.diags([1.0] * 5, [1 - m, -1, 0, 1, m - 1], shape=(m, m)))
+        else:
+            m = dom.shape[ax] - 2
+            steps.append(sp.diags([1.0] * 3, [-1, 0, 1], shape=(m, m)))
+    eye = [sp.identity(t.shape[0]) for t in steps]
+    pattern = (sp.kron(steps[0], sp.kron(eye[1], eye[2]))
+               + sp.kron(eye[0], sp.kron(steps[1], eye[2]))
+               + sp.kron(eye[0], sp.kron(eye[1], steps[2]))).tocsr()
+    pattern.sum_duplicates()
+    return pattern
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_levels_are_the_hierarchy_of_the_seven_point_pattern(kind, n):
+    # the finest pattern comes from the full law's assembly: every level's
+    # pattern, diagonal and Galerkin map is the one the 7-point pattern gives
+    dom = grid.build_domain(kind, n)
+    levels = multigrid._levels(dom)
+    pattern = seven_point_pattern(dom)
+    assert len(levels) == len(multigrid.interpolations(dom)) + 1
+    for level, p in zip(levels, multigrid.interpolations(dom) + (None,)):
+        assert np.array_equal(level.pattern.indptr, pattern.indptr)
+        assert np.array_equal(level.pattern.indices, pattern.indices)
+        rows, cols = pattern.nonzero()
+        assert np.array_equal(level.diagonal, np.flatnonzero(rows == cols))
+        if p is None:
+            assert level.galerkin is None
+            break
+        coarse, galerkin = multigrid._galerkin_map(pattern, p)
+        assert level.interpolation is p
+        assert (level.galerkin != galerkin).nnz == 0
+        pattern = coarse
+
+
 def test_galerkin_map_cache_is_bounded():
     multigrid._levels.cache_clear()
     maxsize = multigrid._levels.cache_info().maxsize

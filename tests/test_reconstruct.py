@@ -151,20 +151,6 @@ def test_elimination_is_exact_on_analytic_data(structure):
     assert err < 1e-12
 
 
-def test_reconstruct_dzz_wraps_the_pipeline():
-    dom = grid.build_domain("cubic_periodic", 12)
-    rng = np.random.default_rng(8)
-    u = grid.apply_constraints(dom, rng.standard_normal((3,) + dom.shape))
-    f = problems.rhs_sample(dom, "smooth-trig", 1.0)
-    got = reconstruct.reconstruct_dzz(dom, u, f, 2.5, 0.7, "symmetric")
-    du = grid.gradient(dom, u, "symmetric")
-    d2 = grid.second_derivatives(dom, u)
-    want = reconstruct.solve_normal(
-        reconstruct.assemble_normal_system(du, d2, f, 2.5, 0.7, "symmetric")
-    )
-    assert np.array_equal(got, want)
-
-
 # ---------------------------------------------------------------- bound check
 
 

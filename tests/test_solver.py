@@ -725,9 +725,10 @@ def test_a_pair_s_magnitudes_are_never_reused_under_the_other_law(monkeypatch):
     assert len(calls) == 8
 
 
-def test_exhausted_line_search_takes_the_smallest_step(monkeypatch):
-    # every trial is rejected: after 40 halvings the step ends on the 41st
-    # trial, v + 2^-40 delta, and the next step starts from it
+def test_exhausted_line_search_raises(monkeypatch):
+    # every trial is rejected: after 40 halvings the solve stops, naming the
+    # step, both energies and p, with the start as its best iterate, and
+    # takes no uphill step
     dom = grid.build_domain("dirichlet_box", 8)
     prob = make_problem(dom, 1.5, 0.1)
     energy, trials = solver.energy, []
@@ -737,15 +738,23 @@ def test_exhausted_line_search_takes_the_smallest_step(monkeypatch):
         return energy(v, *args) + (1.0 if len(trials) > 1 else 0.0)
 
     monkeypatch.setattr(solver, "energy", rejecting_energy)
-    with pytest.raises(NoConvergence) as exc:
-        solver.solve(prob, solver.SolveConfig(eta=1e-3, max_outer=1))
+    with pytest.raises(NoConvergence, match=r"line search failed at outer step 0: 40 halvings "
+                       r"of the Kacanov step all raise the energy -?\d\.\d{6}e[+-]\d+ "
+                       r"\(the last to -?\d\.\d{6}e[+-]\d+; p = 1.5\)") as exc:
+        solver.solve(prob, solver.SolveConfig(eta=1e-3, max_outer=5))
     assert exc.value.report.backtracks == 40
-    start, full, last = trials[0], trials[1], trials[-1]
-    assert len(trials) == 1 + 41 and exc.value.field is last
-    # v + 2^-40 delta keeps only a few digits of the step; a factor 2 either
-    # way would be 2^-39 or 2^-41
-    ratio = np.linalg.norm(last - start) / np.linalg.norm(2.0**-40 * (full - start))
-    assert ratio == pytest.approx(1.0, rel=0.1)
+    assert exc.value.report.iterations == 0
+    assert len(trials) == 1 + 41 and exc.value.field is trials[0]
+
+
+def test_solve_refuses_a_continuation_path():
+    # the path is continuation_solve's to walk; solve must not drop it and
+    # solve once at config.eta
+    dom = grid.build_domain("dirichlet_box", 8)
+    path = solver.ContinuationPath.geometric(eta0=1e-2, mu0=0.0, eta_floor=1e-4)
+    for mu in (0.0, 0.1):
+        with pytest.raises(DegenerateConfig, match="continuation_solve"):
+            solver.solve(make_problem(dom, 1.5, mu), solver.SolveConfig(continuation=path))
 
 
 def test_rejected_candidate_takes_the_kacanov_step_and_clears_the_history(monkeypatch):
