@@ -1,10 +1,12 @@
 """Continuation into the degenerate regime (mu = 0, p < 2).
 
 The operator at eta = mu = 0 cannot be attacked directly for p != 2, so the
-solver walks a geometric (eta, mu) path with warm starts.  Two things are
-worth watching: the second-derivative norm stays inside a narrow band all
-the way down (the uniformity the regularization limit needs), and the
-warm-start deltas shrink geometrically, so the iterates are Cauchy.
+solver walks a geometric (eta, mu) path, starting each step from the
+secant predictor v_{j-1} + r (v_{j-1} - v_{j-2}) of the last two solutions,
+r the ratio of this path step to the last.  Two things are worth watching:
+the second-derivative norm stays inside a narrow band all the way down (the
+uniformity the regularization limit needs), and the step changes
+||v_j - v_{j-1}|| shrink geometrically, so the iterates are Cauchy.
 
 A byproduct worth checking: the degenerate solution obeys the exact scaling
 solve(lambda f) = lambda^(1/(p-1)) solve(f), verified at the end.
@@ -25,7 +27,7 @@ v, report = solver.continuation_solve(prob, solver.SolveConfig(outer_tol=1e-10,
 print(f"p={p}, mu=0, eta path 1e-2 -> 1e-8 in {len(path.eta_path)} steps")
 print("step   eta          ||D2 v||_2       step change")
 for j, (eta, mu, d2, delta) in enumerate(report.continuation_trace):
-    tail = "warm start" if j == 0 else f"{delta:.3e}"
+    tail = "Poisson start" if j == 0 else f"{delta:.3e}"
     if j % 3 == 0 or j == len(path.eta_path) - 1:
         print(f"{j:<6d} {eta:<12.3e} {d2:<16.12f} {tail}")
 

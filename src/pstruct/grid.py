@@ -437,9 +437,10 @@ def load_field(path):
         domain = build_domain(header["kind"], header["n"])
         comps = tuple(header["components"])
         count = int(np.prod(comps, dtype=int)) * int(np.prod(domain.shape))
-        flat = np.frombuffer(fh.read(), dtype="<f8", count=count).copy()
-    if flat.size != count:
-        raise ValueError(f"field file holds {flat.size} values, expected {count}")
+        payload = fh.read()
+    if len(payload) != 8 * count:
+        raise ValueError(f"field file holds {len(payload) / 8:.15g} values, expected {count}")
+    flat = np.frombuffer(payload, dtype="<f8").copy()
     shape = comps + (domain.shape[2], domain.shape[1], domain.shape[0])
     values = _x_fastest(flat.reshape(shape))  # move (z, y, x) back to (x, y, z)
     return domain, np.ascontiguousarray(values)

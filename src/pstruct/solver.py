@@ -792,8 +792,25 @@ def solve(
     )
 
 
+def _predicted_start(path: ContinuationPath, j: int, v, v_prev):
+    """Start of path step j: the Euler-secant predictor v + r (v - v_prev)
+    from the last two solutions (Allgower and Georg, Introduction to
+    Numerical Continuation Methods, 2003), r the ratio of this path step to
+    the last in eta, or in mu when eta did not move over the last step.
+    Steps 0 and 1, and a step after one where neither moved, start from v
+    itself (None at step 0: solve's Poisson start)."""
+    if j >= 2:
+        for comp in (path.eta_path, path.mu_path):
+            last = comp[j - 1] - comp[j - 2]
+            if last != 0.0:
+                return v + (comp[j] - comp[j - 1]) / last * (v - v_prev)
+    return v
+
+
 def continuation_solve(problem: ProblemSpec, config: SolveConfig):
-    """Walk the (eta, mu) path with warm starts.
+    """Walk the (eta, mu) path, each step started from the last two
+    solutions' secant predictor (_predicted_start); the first step starts
+    from the Poisson solution and the second from the first's solution.
 
     Records (eta, mu, ||D^2 v||_2, ||v_j - v_{j-1}||_{1,2}) per step and
     raises PathStalled when the step change grows three times in a row.
@@ -813,12 +830,12 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
     counts = {"outer": "iterations", "inner": "inner_iterations", "backtracks": "backtracks",
               "accelerated": "accelerated", "restarts": "restarts"}
     totals = dict.fromkeys(("solves", *counts), 0)
-    prev_delta = None
-    for eta_j, mu_j in zip(path.eta_path, path.mu_path):
+    prev_delta = v_prev = None
+    for j, (eta_j, mu_j) in enumerate(zip(path.eta_path, path.mu_path)):
         params_j = replace(problem.params, mu=mu_j)
         prob_j = ProblemSpec(problem.domain, params_j, rhs=problem.rhs, f=f)
         cfg_j = replace(config, eta=eta_j, continuation=None)
-        v_new, report = solve(prob_j, cfg_j, initial=v)
+        v_new, report = solve(prob_j, cfg_j, initial=_predicted_start(path, j, v, v_prev))
         totals["solves"] += 1
         for name, count in counts.items():
             totals[name] += getattr(report, count)
@@ -841,7 +858,7 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
                 growth = 0
             prev_delta = delta
         trace.append((eta_j, mu_j, d2n, delta))
-        v = v_new
+        v, v_prev = v_new, v
     report.continuation_trace = trace
     report.path_totals = totals
     return v, report

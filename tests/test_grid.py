@@ -409,3 +409,17 @@ def test_serialization_rejects_bad_format(tmp_path):
     path.write_bytes(header.replace(b'"bin"', b'"csv"') + b"\n" + body)
     with pytest.raises(ValueError, match="unknown field format 'csv'"):
         g.load_field(path)
+
+
+@pytest.mark.parametrize("extra", [5, -100])
+def test_serialization_rejects_a_payload_of_the_wrong_size(tmp_path, extra):
+    # a file with values appended or cut off is refused, not loaded in part
+    dom = g.build_domain(g.DIRICHLET_BOX, 8)
+    path = tmp_path / "field.bin"
+    g.save_field(path, dom, dom.zeros())
+    data = path.read_bytes()
+    count = 3 * int(np.prod(dom.shape))
+    data = data + bytes(8 * extra) if extra > 0 else data[:8 * extra]
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"holds {count + extra} values, expected {count}$"):
+        g.load_field(path)
