@@ -61,14 +61,13 @@ def _axis_mode(domain: DomainSpec, axis: int) -> np.ndarray:
     return field
 
 
-def _sample_fields(domain: DomainSpec, samples: int, seed: int) -> list:
-    """Axis-aligned extremal modes plus inverse-Laplacian images of random
-    band-limited forcings."""
-    fields = [_axis_mode(domain, ax) for ax in range(3)]
+def _sample_fields(domain: DomainSpec, samples: int, seed: int):
+    """Yield the axis-aligned extremal modes, then the inverse-Laplacian
+    images of random band-limited forcings, one field at a time."""
+    for ax in range(3):
+        yield _axis_mode(domain, ax)
     for i in range(samples):
-        rhs = rhs_sample(domain, "band-limited-random", 1.0, seed + i)
-        fields.append(poisson_solve(domain, rhs))
-    return fields
+        yield poisson_solve(domain, rhs_sample(domain, "band-limited-random", 1.0, seed + i))
 
 
 def _check_q_range(q_list) -> None:

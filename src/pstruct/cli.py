@@ -123,7 +123,7 @@ SCHEMA = {
         "cont_ratio": (_where(_finite_float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)"), 0.5),
         "cont_eta_floor": (_offset, 1e-8),
         "cont_mu_floor": (_offset, 1e-8),
-        "cont_max_steps": (_int_at_least(1), 60),
+        "cont_max_steps": (_where(int, lambda x: 1 <= x <= 1000, "an integer in 1..1000"), 60),
     },
     "rhs": {
         "id": (_one_of(*RHS_IDS), "smooth-trig"),

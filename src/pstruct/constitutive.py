@@ -23,7 +23,6 @@ __all__ = [
     "stress",
     "stress_jacobian",
     "inequality_ratios",
-    "sym_part",
     "triple_product_check",
 ]
 
@@ -95,11 +94,6 @@ def stress_jacobian(a: np.ndarray, params: ConstitutiveParams) -> np.ndarray:
     outer = np.einsum("...ij,...kl->...ijkl", a, a)
     fac = (base ** (params.p - 2.0))[..., None, None, None, None]
     return fac * ident + coef[..., None, None, None, None] * outer
-
-
-def sym_part(g: np.ndarray) -> np.ndarray:
-    """Symmetric part (G + G^T)/2 over the trailing 3x3 axes."""
-    return 0.5 * (g + np.swapaxes(g, -2, -1))
 
 
 def _pair_scale(a: np.ndarray, b: np.ndarray, params: ConstitutiveParams) -> np.ndarray:

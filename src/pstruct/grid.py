@@ -40,7 +40,7 @@ __all__ = [
     "gradient_mode",
     "divergence",
     "laplacian",
-    "one_sided_difference",
+    "one_sided_differences",
     "face_masks",
     "centered_difference",
     "quadrature_weights",
@@ -148,26 +148,36 @@ def centered_difference(domain: DomainSpec, f: np.ndarray, axis: int) -> np.ndar
     return out
 
 
-def one_sided_difference(domain: DomainSpec, f: np.ndarray, axis: int, side: int) -> np.ndarray:
-    """Forward (side 1) or backward (side -1) first difference along a grid
-    axis; on a wall axis it is 0 on the last (forward) or first (backward)
-    slice, which has no face."""
+def one_sided_differences(domain: DomainSpec, f: np.ndarray, axis: int,
+                          forward: np.ndarray = None, backward: np.ndarray = None) -> tuple:
+    """(forward, backward) first differences of f along a grid axis, written
+    into forward and backward when given; f may have any leading axes.
+
+    One subtraction gives the forward differences.  The backward difference
+    at x is the forward one at x - e_j, so it is a shifted copy: wrapping on
+    a periodic axis, and on a wall axis the copy of the forward difference's
+    last slice, which has no face and is 0, fills the first.
+    """
     nd = f.ndim
-    ax = nd - 3 + axis
+    forward = np.empty(f.shape) if forward is None else forward
+    backward = np.empty(f.shape) if backward is None else backward
+    head, tail = _sl(nd, axis, slice(None, -1)), _sl(nd, axis, slice(1, None))
+    first, last = _sl(nd, axis, slice(0, 1)), _sl(nd, axis, slice(-1, None))
+    np.subtract(f[tail], f[head], out=forward[head])
     if domain.is_periodic(axis):
-        if side > 0:
-            return (np.roll(f, -1, axis=ax) - f) / domain.h
-        return (f - np.roll(f, 1, axis=ax)) / domain.h
-    out = np.zeros_like(f)
-    faces = slice(0, -1) if side > 0 else slice(1, None)
-    out[_sl(nd, axis, faces)] = np.diff(f, axis=ax) / domain.h
-    return out
+        np.subtract(f[first], f[last], out=forward[last])
+    else:
+        forward[last] = 0.0
+    forward /= domain.h
+    backward[tail] = forward[head]
+    backward[first] = forward[last]
+    return forward, backward
 
 
 @lru_cache(maxsize=32)
 def face_masks(domain: DomainSpec) -> tuple:
-    """(forward, backward) node masks: 0 on the wall slices where that
-    one_sided_difference has no face, 1 elsewhere.  Cached and read-only."""
+    """(forward, backward) node masks: 0 on the wall slices where that side
+    of one_sided_differences has no face, 1 elsewhere.  Cached and read-only."""
     masks = (np.ones(domain.shape), np.ones(domain.shape))
     for axis in range(3):
         if not domain.is_periodic(axis):

@@ -11,11 +11,10 @@ Otherwise the history is dropped and the step is the plain Kacanov one,
 guarded by a backtracking line search on the energy; a step shortened by it
 drops the history as well, and a step whose 40 halvings all raise the energy
 stops the solve with NoConvergence.  Each iterate's one-sided gradient pair
-is built once, in one differencing pass per axis (the backward differences
-are the forward ones shifted by one node), for the candidate or trial the
-step tests.  Its law magnitudes |T+-| are taken once too: the trial's energy
-takes them and keeps them on the pair, and the next step's coefficient
-reuses them.
+is built once, one grid.one_sided_differences pass per axis, for the
+candidate or trial the step tests.  Its law magnitudes |T+-| are taken once
+too: the trial's energy takes them and keeps them on the pair, and the next
+step's coefficient reuses them.
 On the full law the energy's eta term and the law share the squares |G+-|^2.
 Only the residual and energy histories are recorded per step; norms of the
 solution are the caller's, on the converged field.  Inner loop: one
@@ -55,7 +54,7 @@ two one-sided coefficients adjacent to the face; the mean sits at the face
 center to O(h^2), so the scheme is second order, and the frozen quadratic
 form is a weighted sum of squares, hence symmetric positive definite with no
 odd-even null modes.  Both laws share that operator, built on
-grid.one_sided_difference and grid.face_masks; they differ only in the tensor
+grid.one_sided_differences and grid.face_masks; they differ only in the tensor
 the law acts on, grid.gradient_mode: G for the full gradient and (G + G^T)/2
 for the symmetric one.  Because operator and energy come from the same
 functional, the residual zero and the energy minimum coincide exactly: the
@@ -289,27 +288,12 @@ class _GradientPair:
 
 
 def _pm_gradients(domain: DomainSpec, v: np.ndarray) -> _GradientPair:
-    """One-sided gradient pair, grid.one_sided_difference's values bit for bit.
-
-    Per axis one subtraction gives the forward differences of all three
-    components.  The backward difference at x is the forward one at x - e_j,
-    so it is a shifted copy: wrapping on a periodic axis, and on a wall axis
-    the copy of the forward pair's last slice, which is 0, fills the first.
-    """
+    """One-sided gradient pair: per axis j, one grid.one_sided_differences
+    call takes all three components and writes [:, j] of both sides."""
     gp = np.empty((3, 3) + domain.shape)
     gm = np.empty_like(gp)
-    head, tail, last = slice(None, -1), slice(1, None), slice(-1, None)
     for j in range(3):
-        fwd, bwd = gp[:, j], gm[:, j]
-        lead = (slice(None),) * (j + 1)  # an index after it is on grid axis j
-        np.subtract(v[lead + (tail,)], v[lead + (head,)], out=fwd[lead + (head,)])
-        if domain.is_periodic(j):
-            np.subtract(v[lead + (slice(0, 1),)], v[lead + (last,)], out=fwd[lead + (last,)])
-        else:
-            fwd[lead + (-1,)] = 0.0
-        fwd /= domain.h
-        bwd[lead + (tail,)] = fwd[lead + (head,)]
-        bwd[lead + (0,)] = fwd[lead + (-1,)]
+        g.one_sided_differences(domain, v, j, gp[:, j], gm[:, j])
     return _GradientPair(gp, gm)
 
 
@@ -368,8 +352,8 @@ def _apply_pm(
     out = np.zeros_like(w)
     for j in range(3):
         out -= 0.5 * (
-            g.one_sided_difference(domain, a_plus * tp[:, j], j, -1)
-            + g.one_sided_difference(domain, a_minus * tm[:, j], j, 1)
+            g.one_sided_differences(domain, a_plus * tp[:, j], j)[1]
+            + g.one_sided_differences(domain, a_minus * tm[:, j], j)[0]
         )
     if eta != 0.0:
         out -= eta * g.laplacian(domain, w)

@@ -7,6 +7,7 @@ sampled fields never exceed that, which the end-to-end checks rely on.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ def test_estimate_constants_evaluates_the_sample_path_once_per_q(monkeypatch, q_
     # q = 2 is taken in the same pass, listed or not, and reported only if listed
     assert calls == [q_list + (2.0,)]
     assert set(got[0]) == set(q_list)
+
+
+def test_c5_table_memory_does_not_grow_with_samples():
+    # the sample fields are made one at a time: a list of all of them grew
+    # the peak by one field per sample, about 0.8 MB each at n = 32
+    box = build_domain("dirichlet_box", 8)
+    audit.c5_table(box, samples=1)  # fill the grid and Poisson caches first
+    peaks = []
+    for samples in (4, 40):
+        tracemalloc.start()
+        try:
+            audit.c5_table(box, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    field_bytes = 3 * 8 * int(np.prod(box.shape))
+    assert peaks[1] < peaks[0] + 4 * field_bytes
 
 
 def test_constant_estimators_validate_q():

@@ -257,6 +257,7 @@ def test_section_is_named_in_value_errors(tmp_path, capsys):
     ("solver.cont_ratio=1.5", r"\[solver\] cont_ratio"),
     ("solver.cont_ratio=0", r"\[solver\] cont_ratio"),
     ("solver.cont_max_steps=0", r"\[solver\] cont_max_steps"),
+    ("solver.cont_max_steps=1001", r"\[solver\] cont_max_steps"),
     ("params.structure=skew", r"\[params\] structure"),
     ("domain.kind=torus", r"\[domain\] kind"),
     ("rhs.amplitude=0", r"\[rhs\] amplitude"),
@@ -271,7 +272,8 @@ def test_non_finite_and_negative_values_rejected_at_parse(tmp_path, capsys, over
     # directory was made.  cont_eta0 = -1 ran the whole path at eta = 0; a
     # bad eta, outer_tol, cont_ratio, cont_max_steps, structure, kind or
     # amplitude named only its section, after the output directory was made,
-    # and a bad rhs.id named no key
+    # and a bad rhs.id named no key.  cont_max_steps had no upper bound: at
+    # cont_ratio just below 1, 10^12 steps never finished building the path
     with pytest.raises(ConfigError, match=key):
         cli.load_config(None, [override])
     assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
@@ -289,6 +291,7 @@ def test_range_limits_are_accepted():
     assert (config["domain"]["n"], config["audit"]["samples"]) == (8, 0)
     assert config["sweep"]["amplitudes"] == "1e-3,,2"
     assert (config["solver"]["cont_max_steps"], config["domain"]["kind"]) == (1, "dirichlet_box")
+    assert cli.load_config(None, ["solver.cont_max_steps=1000"])["solver"]["cont_max_steps"] == 1000
 
 
 @pytest.mark.parametrize("key", ["solver.inner_tol", "solver.inner_maxiter",

@@ -9,7 +9,6 @@ from pstruct.constitutive import (
     inequality_ratios,
     stress,
     stress_jacobian,
-    sym_part,
     tensor_norm,
     triple_product_check,
 )
@@ -193,20 +192,6 @@ def test_ratios_degenerate_raises():
     b = np.ones((2, 3, 3))
     with pytest.raises(DegeneratePoint):
         inequality_ratios(a, b, ConstitutiveParams(p=1.5, mu=0.0))
-
-
-def test_sym_part_cases():
-    rng = np.random.default_rng(21)
-    g = rand_tensors(rng, 16)
-    sym = sym_part(g)
-    assert np.allclose(sym, np.swapaxes(sym, -2, -1), rtol=0.0, atol=0.0)
-    s = 0.5 * (g + np.swapaxes(g, -2, -1))
-    assert np.array_equal(sym_part(s), s)
-    anti = 0.5 * (g - np.swapaxes(g, -2, -1))
-    assert np.allclose(sym_part(anti), 0.0, rtol=0.0, atol=1e-16)
-    e12 = np.zeros((3, 3))
-    e12[0, 1] = 1.0
-    assert abs(tensor_norm(sym_part(e12)) - 1.0 / np.sqrt(2.0)) < 1e-15
 
 
 def test_triple_product_zero_cases():

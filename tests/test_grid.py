@@ -195,16 +195,17 @@ def test_one_sided_summation_by_parts(kind, n, axis, side, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((3,) + dom.shape)
     t = rng.standard_normal((3,) + dom.shape)
-    mask = g.face_masks(dom)[0 if side > 0 else 1]
+    s = 0 if side > 0 else 1  # the index of this side in the kernel's pair
+    mask = g.face_masks(dom)[s]
     # the mask is 1 exactly where the difference along every axis has a face
     # (a generic field's differences vanish only where there is none)
-    has_faces = [g.one_sided_difference(dom, u[0], ax, side) != 0.0 for ax in range(3)]
+    has_faces = [g.one_sided_differences(dom, u[0], ax)[s] != 0.0 for ax in range(3)]
     assert np.array_equal(mask == 1.0, np.all(has_faces, axis=0))
     assert np.all((mask == 0.0) | (mask == 1.0))
     # on fields vanishing on the walls, D+ and D- are negative adjoints
     g.apply_constraints(dom, u)
-    lhs = inner(dom, mask * t, g.one_sided_difference(dom, u, axis, side))
-    rhs = -inner(dom, u, g.one_sided_difference(dom, mask * t, axis, -side))
+    lhs = inner(dom, mask * t, g.one_sided_differences(dom, u, axis)[s])
+    rhs = -inner(dom, u, g.one_sided_differences(dom, mask * t, axis)[1 - s])
     # every summand is at most h^3 |u| 2 max|t| / h
     assert abs(lhs - rhs) <= 1e-13 * 2.0 * dom.h**2 * np.sum(np.abs(u)) * np.max(np.abs(t))
 

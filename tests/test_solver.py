@@ -346,44 +346,51 @@ def test_apply_pm_equals_two_branch_reference_bit_for_bit(kind, mode, eta):
 
 
 def _pm_gradients_per_entry(dom, v):
-    """The gradient pair as 18 separate one_sided_difference calls."""
-    gp = np.array([[grid.one_sided_difference(dom, v[i], j, 1) for j in range(3)]
-                   for i in range(3)])
-    gm = np.array([[grid.one_sided_difference(dom, v[i], j, -1) for j in range(3)]
-                   for i in range(3)])
-    return gp, gm
+    """The gradient pair as 18 separate _one_sided calls."""
+    return tuple(np.array([[_one_sided(dom, v[i], j, forward) for j in range(3)]
+                           for i in range(3)])
+                 for forward in (True, False))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["dirichlet_box", "cubic_periodic"]), n=st.integers(8, 11),
+       lead=st.sampled_from([(), (3,), (3, 3)]), axis=st.integers(0, 2),
        scale=st.sampled_from([1e-12, 1.0, 1e12]), seed=st.integers(0, 2**32 - 1))
-def test_pair_is_the_per_entry_one_sided_differences_bit_for_bit(kind, n, scale, seed):
+def test_one_sided_differences_are_the_reference_bit_for_bit(kind, n, lead, axis, scale, seed):
     # the backward difference at x is the forward one at x - e_j: same
     # subtraction, same division, so the shifted copy is exact
     dom = grid.build_domain(kind, n)
-    v = scale * np.random.default_rng(seed).standard_normal((3,) + dom.shape)
+    rng = np.random.default_rng(seed)
+    f = scale * rng.standard_normal(lead + dom.shape)
+    ref = (_one_sided(dom, f, axis, True), _one_sided(dom, f, axis, False))
+    for got, want in zip(grid.one_sided_differences(dom, f, axis), ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    # into views [..., k] of a larger array, as the pair writes its [:, j]:
+    # the kernel fills the two it is given and touches nothing else
+    big = np.full(lead[:1] + (3,) + lead[1:] + dom.shape, np.nan)
+    views = [big[(slice(None),) * len(lead[:1]) + (k,)] for k in range(3)]
+    got = grid.one_sided_differences(dom, f, axis, views[0], views[1])
+    assert got[0] is views[0] and got[1] is views[1]
+    assert np.array_equal(views[0], ref[0]) and np.array_equal(views[1], ref[1])
+    assert np.all(np.isnan(views[2]))
+    # the pair is three kernel calls, each entry its reference difference
+    v = scale * rng.standard_normal((3,) + dom.shape)
     pair = solver._pm_gradients(dom, v)
-    for got, ref in zip(pair, _pm_gradients_per_entry(dom, v)):
-        assert got.shape == ref.shape == (3, 3) + dom.shape
-        assert np.array_equal(got, ref)
+    for got, want in zip(pair, _pm_gradients_per_entry(dom, v)):
+        assert got.shape == want.shape == (3, 3) + dom.shape
+        assert np.array_equal(got, want)
 
 
 def _apply_pm_per_entry(dom, a_plus, a_minus, eta, mode, w):
-    """_apply_pm as it was with the per-entry gradient pair."""
-    if mode != "full":
-        tp, tm = (grid.gradient_mode(grad, mode) for grad in _pm_gradients_per_entry(dom, w))
-
-    def flux(side, i, j):
-        if mode == "full":
-            return grid.one_sided_difference(dom, w[i], j, side)
-        return (tp if side > 0 else tm)[i, j]
-
+    """_apply_pm as a loop over the entries (i, j) of the per-entry pair."""
+    tp, tm = (grid.gradient_mode(grad, mode) for grad in _pm_gradients_per_entry(dom, w))
     out = np.zeros_like(w)
     for i in range(3):
         for j in range(3):
             out[i] -= 0.5 * (
-                grid.one_sided_difference(dom, a_plus * flux(1, i, j), j, -1)
-                + grid.one_sided_difference(dom, a_minus * flux(-1, i, j), j, 1)
+                _one_sided(dom, a_plus * tp[i, j], j, False)
+                + _one_sided(dom, a_minus * tm[i, j], j, True)
             )
     if eta != 0.0:
         out -= eta * grid.laplacian(dom, w)
