@@ -39,6 +39,7 @@ __all__ = [
     "lhs_value",
     "rhs_value",
     "solve_family",
+    "estimate_rows",
     "verify_estimate",
     "tangential_energy_check",
     "holder_seminorm",
@@ -299,27 +300,26 @@ def solve_family(kind: str, n: int, p: float, mu_values, structure: str, rhs_id:
                 yield int(seed), mu, eta, float(amp), f, u, rep
 
 
+def estimate_rows(spec: dict, n: int, solved):
+    """Yield, per solve_family tuple of solved, the row both the audit's and
+    the sweep's tables share: the problem, the estimate's LHS and RHS norms
+    as spec names them, their ratio, and the solve's iterations and residual."""
+    p, q = spec["p"], spec["q"]
+    domain = build_domain(spec["kind"], n)
+    for seed, mu, eta, amp, f, u, rep in solved:
+        lhs = lhs_value(domain, u, spec["lhs"], q)
+        rhs = rhs_value(domain, f, spec["rhs"], q, p)
+        yield {"kind": spec["kind"], "n": n, "p": p, "mu": mu, "structure": spec["structure"],
+               "q": q, "seed": seed, "amplitude": amp, "eta": eta, "lhs": lhs, "rhs": rhs,
+               "ratio": lhs / rhs, "iterations": rep.iterations, "residual": rep.final_residual}
+
+
 def _judge_estimate(name: str, spec: dict, n: int, solved: list) -> dict:
     """The verify_estimate result of check name on its family's solutions."""
     p, q, mu_values = spec["p"], spec["q"], spec["mu_values"]
     structure, kind = spec["structure"], spec["kind"]
     reasons = _coverage_reasons(name, p, mu_values, structure, kind, q)
-    domain = build_domain(kind, n)
-
-    rows = []
-    for seed, mu, eta, amp, f, u, rep in solved:
-        lhs = lhs_value(domain, u, spec["lhs"], q)
-        rhs = rhs_value(domain, f, spec["rhs"], q, p)
-        rows.append(
-            {
-                "name": name, "kind": kind, "n": n, "p": p, "mu": mu,
-                "structure": structure, "q": q, "rhs_id": RHS_ID,
-                "seed": seed, "amplitude": amp, "eta": eta,
-                "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-                "iterations": rep.iterations,
-                "residual": rep.final_residual,
-            }
-        )
+    rows = [{"name": name, **row, "rhs_id": RHS_ID} for row in estimate_rows(spec, n, solved)]
 
     spreads = {}
     for seed in SHAPE_SEEDS:

@@ -36,7 +36,6 @@ from .errors import ConfigError, PStructError
 from .grid import build_domain, save_field
 from .problems import RHS_IDS, SEEDED_RHS_IDS, ProblemSpec, RhsSpec
 
-COMMANDS = ("solve", "audit", "constants", "reconstruct", "sweep")
 OUTPUT_FORMATS = ("json", "csv", "fields")
 
 _TRUE = ("1", "true", "yes", "on")
@@ -354,16 +353,6 @@ def _solve_configured(config: dict):
 def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
     problem, _, v, rep = _solve_configured(config)
     domain = problem.domain
-    report = {
-        "command": "solve",
-        "config": config,
-        "result": rep.to_dict(),
-        "norms": {
-            "grad_p": g.norm(domain, g.gradient(domain, v, "full"), q=problem.params.p),
-            "w22": g.norm(domain, v, q=2.0, sobolev_level=2),
-            "max": g.norm(domain, v, q=np.inf),
-        },
-    }
     if "csv" in formats:
         _write_csv(outdir / "tables" / "solve_history.csv", ["iteration", "residual", "energy"],
                    [[i, *row] for i, row in enumerate(zip(rep.residual_history, rep.energy_history))])
@@ -376,7 +365,14 @@ def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
     if "fields" in formats:
         (outdir / "fields").mkdir(parents=True, exist_ok=True)
         save_field(outdir / "fields" / "solution.bin", domain, v)
-    return report
+    return {
+        "result": rep.to_dict(),
+        "norms": {
+            "grad_p": g.norm(domain, g.gradient(domain, v, "full"), q=problem.params.p),
+            "w22": g.norm(domain, v, q=2.0, sobolev_level=2),
+            "max": g.norm(domain, v, q=np.inf),
+        },
+    }
 
 
 def _cmd_constants(config: dict, outdir: Path, formats: set) -> dict:
@@ -384,20 +380,16 @@ def _cmd_constants(config: dict, outdir: Path, formats: set) -> dict:
     ac = config["audit"]
     q_list = _entries(config, "audit", "q_list")
     table, c4, fit, c6 = audit_mod.estimate_constants(domain, q_list, ac["samples"], ac["seed"])
-    adm = audit_mod.admissible_p(q_list, c4, table)
-    report = {
-        "command": "constants",
-        "config": config,
+    if "csv" in formats:
+        _write_csv(outdir / "tables" / "constants.csv", ["q", "c5_hat"],
+                   [[q, v] for q, v in sorted(table.items())])
+    return {
         "c4_hat": c4,
         "c5_hat": {f"{q:g}": v for q, v in sorted(table.items())},
         "c6_hat": c6,
         "growth_fit": fit,
-        "admissible_p": adm,
+        "admissible_p": audit_mod.admissible_p(q_list, c4, table),
     }
-    if "csv" in formats:
-        _write_csv(outdir / "tables" / "constants.csv", ["q", "c5_hat"],
-                   [[q, v] for q, v in sorted(table.items())])
-    return report
 
 
 ESTIMATE_COLUMNS = ("name", "kind", "n", "p", "mu", "structure", "q", "rhs_id", "seed",
@@ -414,15 +406,13 @@ def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
         check_names=tuple(_entries(config, "audit", "checks")),
         q_list=tuple(_entries(config, "audit", "q_list")),
     )
-    report = {"command": "audit", "config": config}
-    report.update(rep.to_dict())
     if "csv" in formats:
         _write_csv(outdir / "tables" / "estimates.csv", list(ESTIMATE_COLUMNS),
                    [[r[c] for c in ESTIMATE_COLUMNS]
                     for check in rep.estimate_checks for r in check["rows"]])
         _write_csv(outdir / "tables" / "constants.csv", ["q", "c5_hat"],
                    [[q, v] for q, v in sorted(rep.c5_hat.items())])
-    return report
+    return rep.to_dict()
 
 
 def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
@@ -437,9 +427,11 @@ def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
         eta=cfg.eta,
         residual_tol=config["reconstruct"]["residual_tol"],
     )
-    report = {
-        "command": "reconstruct",
-        "config": config,
+    if "fields" in formats:
+        (outdir / "fields").mkdir(parents=True, exist_ok=True)
+        save_field(outdir / "fields" / "ratio.bin", problem.domain, check["ratio"])
+        save_field(outdir / "fields" / "solution.bin", problem.domain, v)
+    return {
         "solve": {"iterations": rep.iterations, "final_residual": rep.final_residual},
         "ratio_max": check["ratio_max"],
         "ratio_mean": check["ratio_mean"],
@@ -448,11 +440,6 @@ def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
         "reconstruction_rel_l2": check["reconstruction_rel_l2"],
         "reconstruction_rel_median": check["reconstruction_rel_median"],
     }
-    if "fields" in formats:
-        (outdir / "fields").mkdir(parents=True, exist_ok=True)
-        save_field(outdir / "fields" / "ratio.bin", problem.domain, check["ratio"])
-        save_field(outdir / "fields" / "solution.bin", problem.domain, v)
-    return report
 
 
 def _sweep_point(task) -> list:
@@ -461,17 +448,14 @@ def _sweep_point(task) -> list:
     index of the point at amplitudes[k]."""
     (indices, kind, n, structure, p, mu, amplitudes, seed, rhs_id, base) = task
     # the W^{2,2} estimate of the paper for this p, as the audit checks it
-    spec = audit_mod.ESTIMATE_SPECS["p_lt_2_W22" if p < 2.0 else "p_gt_2_W22"]
+    spec = {**audit_mod.ESTIMATE_SPECS["p_lt_2_W22" if p < 2.0 else "p_gt_2_W22"],
+            "p": p, "kind": kind, "structure": structure}
     rows = []
     try:
-        domain = build_domain(kind, n)
-        for _, _, eta, amplitude, f, u, rep in audit_mod.solve_family(
-                kind, n, p, (mu,), structure, rhs_id, (seed,), amplitudes, base):
-            lhs = audit_mod.lhs_value(domain, u, spec["lhs"], spec["q"])
-            rhs_val = audit_mod.rhs_value(domain, f, spec["rhs"], spec["q"], p)
-            rows.append(dict(zip(SWEEP_COLUMNS, (
-                indices[len(rows)], kind, n, structure, p, mu, amplitude, seed, rhs_id, eta,
-                base.outer_tol, lhs, rhs_val, lhs / rhs_val, rep.iterations, rep.final_residual))))
+        for row in audit_mod.estimate_rows(spec, n, audit_mod.solve_family(
+                kind, n, p, (mu,), structure, rhs_id, (seed,), amplitudes, base)):
+            rows.append({**row, "index": indices[len(rows)], "rhs_id": rhs_id,
+                         "outer_tol": base.outer_tol, "implied_constant": row["ratio"]})
     except PStructError as exc:
         # keep the failing point identifiable when many ladders run, possibly
         # out of order in a worker pool
@@ -512,22 +496,6 @@ def aggregate_sweep(rows: list) -> dict:
     return summary
 
 
-def read_sweep_csv(path) -> list:
-    rows = []
-    with open(path, newline="", encoding="ascii") as fh:
-        for rec in csv.DictReader(fh):
-            row = {}
-            for key, val in rec.items():
-                if key in ("index", "n", "seed", "iterations"):
-                    row[key] = int(val)
-                elif key in ("kind", "structure", "rhs_id"):
-                    row[key] = val
-                else:
-                    row[key] = float(val)
-            rows.append(row)
-    return rows
-
-
 def _pool_size(workers: int, ladders: int) -> int:
     """Worker processes for a sweep: no more than the ladders or the CPUs."""
     return min(workers, ladders, _usable_cpus())
@@ -566,12 +534,10 @@ def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
     by_point = {(k, row["amplitude"]): row for k, rows in zip(ladders, solved) for row in rows}
     rows = [{**by_point[key(p, mu, seed), amplitude], "index": idx, "seed": seed}
             for idx, (p, mu, amplitude, seed) in enumerate(points)]
-    summary = aggregate_sweep(rows)
-    report = {"command": "sweep", "config": config, "points": len(rows), "summary": summary}
     if "csv" in formats:
         _write_csv(outdir / "tables" / "sweep.csv", list(SWEEP_COLUMNS),
                    [[r[c] for c in SWEEP_COLUMNS] for r in rows])
-    return report
+    return {"points": len(rows), "summary": aggregate_sweep(rows)}
 
 
 def _collect_verdicts(report: dict) -> list:
@@ -590,23 +556,25 @@ def _collect_verdicts(report: dict) -> list:
     return out
 
 
+COMMANDS = {
+    "solve": _cmd_solve,
+    "audit": _cmd_audit,
+    "constants": _cmd_constants,
+    "reconstruct": _cmd_reconstruct,
+    "sweep": _cmd_sweep,
+}
+
+
 def run(command: str, config: dict, strict: bool = False) -> int:
     """Execute a command; returns the process exit status."""
     if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
+        raise ConfigError(f"unknown command {command!r}, expected one of {tuple(COMMANDS)}")
     _check_grid_memory(command, config)
     formats = set(_entries(config, "output", "formats"))
     outdir = Path(config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    handler = {
-        "solve": _cmd_solve,
-        "audit": _cmd_audit,
-        "constants": _cmd_constants,
-        "reconstruct": _cmd_reconstruct,
-        "sweep": _cmd_sweep,
-    }[command]
-    report = handler(config, outdir, formats)
+    report = {"command": command, "config": config, **COMMANDS[command](config, outdir, formats)}
     if "json" in formats:
         _write_json(outdir / "report.json", report)
     _manifest(outdir, command, config, time.perf_counter() - start)
@@ -620,7 +588,7 @@ def main(argv=None) -> int:
         prog="pstruct",
         description="structured-grid p-structure solver and regularity auditor",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(COMMANDS))
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="override a config key")

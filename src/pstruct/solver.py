@@ -43,8 +43,9 @@ on MULTIGRID_AFTER says why).  A solve stops with NoConvergence at max_outer
 or once its best residual has not improved for STALL_STEPS outer steps; the
 first time, it drops Anderson for plain steps instead, since on an energy flat
 to roundoff every candidate passes while the residual wanders.  An overflow of
-the forcing norm or the law raises NonFinite naming it; a candidate or trial
-whose energy overflows is rejected like any other that raises the energy.
+the forcing norm, the law or the eta term raises NonFinite naming it, and one
+in an inner solve names its outer step; a candidate or trial whose energy
+overflows is rejected like any other that raises the energy.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -65,9 +66,10 @@ The frozen operator is A(a+-) = 1/2 sum_+- B+-^T diag(a+-) B+-, with B+- the
 map from w to the gradient_mode of its one-sided gradient.  The solver keeps
 two forms of it, each with one path for both laws.  _apply_pm evaluates it
 matrix-free, from the gradient pair and one divergence per axis, and stays
-the reference: residual and apply_operator use it, so every solution is
-checked by an operator independent of the assembly.  The solves use the
-assembled form: per (domain, law) a cached sparsity pattern and a sparse
+the reference, independent of the assembly: residual and apply_operator use
+it, and reconstruct's residual gate, the benchmark's checks and the tests
+take residual of a solution.  The solves converge on the assembled form's
+residual: per (domain, law) a cached sparsity pattern and a sparse
 linear map from [a+, a-, eta] to the CSR data, the eta term being its last
 column, so each outer step fills the matrix with one sparse product (at
 eta = 0, by the map's leading columns alone).  The full law's matrix is three
@@ -586,7 +588,7 @@ def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
 
 def stress_potential(t: np.ndarray, p: float, mu: float) -> np.ndarray:
     """Primitive integral_0^t (mu+s)^(p-2) s ds in closed form."""
-    t = np.asarray(t, dtype=float)
+    t, mu = np.asarray(t, dtype=float), np.float64(mu)  # mu**p overflows to inf, not raises
     if mu == 0.0:
         return t**p / p
     b = mu + t
@@ -677,11 +679,18 @@ def solve(
         res = _l2(r) / fnorm
         if not (np.isfinite(res) and np.isfinite(e_cur)):
             what = f"relative residual is {res}" if not np.isfinite(res) else f"energy is {e_cur}"
-            # with finite data and a finite iterate, the law's powers overflowed
+            # with finite data and a finite iterate, the law's powers overflowed,
+            # or the eta term did where it outweighs a finite law
             if np.isfinite([params.p, params.mu, config.eta]).all() and np.isfinite(x_cur).all():
-                grad = max(float(np.max(m)) for _, m in pair.law_magnitudes(params.structure))
-                what += (f": the law overflowed at outer step {it} (p = {params.p:g}, "
-                         f"max |G v| = {grad:.3e})")
+                mags = np.array([m for _, m in pair.law_magnitudes(params.structure)])
+                a_max = max(np.max(a_plus), np.max(a_minus))
+                phi = stress_potential(mags, params.p, params.mu)
+                if a_max <= config.eta and np.isfinite(phi).all():
+                    what += (f": the eta term overflowed at outer step {it} (eta = "
+                             f"{config.eta:g}, largest law coefficient {a_max:.3e})")
+                else:
+                    what += (f": the law overflowed at outer step {it} (p = {params.p:g}, "
+                             f"mu = {params.mu:g}, max |G v| = {np.max(mags):.3e})")
             raise NonFinite(what)
         report.residual_history.append(res)
         report.energy_history.append(e_cur)
@@ -706,8 +715,11 @@ def solve(
             precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
         else:
             precondition = _preconditioner(domain)
-        x, inner_it = _pcg(domain, matrix.dot, precondition, b, x_cur, r, inner_rtol,
-                           INNER_MAXITER)
+        try:
+            x, inner_it = _pcg(domain, matrix.dot, precondition, b, x_cur, r, inner_rtol,
+                               INNER_MAXITER)
+        except NonFinite as exc:
+            raise NonFinite(f"{exc} in the inner solve of outer step {it}") from exc
         report.inner_iterations += inner_it
         use_multigrid |= (params.p < 2.0 and params.structure == "full"
                           and inner_it > MULTIGRID_AFTER)

@@ -7,6 +7,7 @@ entry point that pyproject.toml declares under [project.scripts], the other
 runs ``python -m pstruct``.
 """
 
+import csv
 import json
 import os
 import re
@@ -30,6 +31,15 @@ def run_cli(*args):
 def base_args(tmp_path, *extra):
     return ["--set", f"output.directory={tmp_path / 'out'}",
             "--set", "domain.n=8", *extra]
+
+
+def read_sweep_csv(path) -> list:
+    """The rows of a sweep.csv, each column as the type the sweep wrote."""
+    types = {"index": int, "n": int, "seed": int, "iterations": int,
+             "kind": str, "structure": str, "rhs_id": str}
+    with open(path, newline="", encoding="ascii") as fh:
+        return [{key: types.get(key, float)(val) for key, val in rec.items()}
+                for rec in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------- config
@@ -378,6 +388,17 @@ def test_solve_writes_report_tables_manifest(tmp_path):
     assert set(manifest["versions"]) == {"python", "numpy", "scipy", "pstruct"}
     assert manifest["wall_time_s"] > 0.0
 
+    # run writes the command and the config into every command's report
+    small = ("params.p=2.5", "params.structure=symmetric", "audit.n=8", "audit.constants_n=8",
+             "audit.samples=2", "audit.q_list=2,4,8", "audit.checks=p_lt_2_W2q",
+             "sweep.p_values=1.5", "sweep.mu_values=0.1", "sweep.amplitudes=1", "sweep.seeds=0")
+    args = [arg for item in small for arg in ("--set", item)]
+    for command in cli.COMMANDS:
+        assert run_cli(command, *base_args(tmp_path, *args)) == 0
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (report["command"], report["config"]) == (command, manifest["config"])
+
 
 def test_report_json_is_byte_identical_across_runs(tmp_path):
     args = base_args(tmp_path, "--set", "params.p=1.5", "--set", "rhs.seed=3")
@@ -541,15 +562,24 @@ def test_reconstruct_command(tmp_path):
     assert report["reconstruction_rel_l2"] < 1.0
 
 
-@pytest.mark.parametrize("override, cause", [
+@pytest.mark.parametrize("overrides, cause", [
     ("params.p=40", "the law overflowed at outer step"),
     ("params.p=30", "the law overflowed at outer step"),
     ("rhs.amplitude=1e200", "forcing norm is inf: its sum of squares overflowed"),
+    # mu**p on a Python float used to raise OverflowError: a traceback, exit 1
+    ("params.p=1.5 params.mu=1e300", "energy is nan: the law overflowed at outer step 0"),
+    # used to blame the law, whose coefficients were all 1
+    ("solver.eta=1e300", "relative residual is inf: the eta term overflowed at outer step 0"),
+    # used to say only "PCG r.z is inf"
+    ("params.p=1.5 params.mu=0 solver.eta=1e-8 rhs.amplitude=1e150",
+     "PCG r.z is inf in the inner solve of outer step 0"),
 ])
-def test_an_overflow_is_named_and_warns_nothing(tmp_path, capsys, recwarn, override, cause):
-    # each used to exit with only "relative residual is nan", after numpy's
-    # overflow warnings reached stderr
-    assert run_cli("solve", *base_args(tmp_path, "--set", override)) == 2
+def test_an_overflow_is_named_and_warns_nothing(tmp_path, capsys, recwarn, overrides, cause):
+    # the first three used to exit with only "relative residual is nan",
+    # after numpy's overflow warnings reached stderr; overrides are
+    # space-separated
+    args = [arg for item in overrides.split() for arg in ("--set", item)]
+    assert run_cli("solve", *base_args(tmp_path, *args)) == 2
     assert cause in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -621,7 +651,7 @@ def test_sweep_report_and_csv_reingestion(tmp_path):
         assert group["count"] == 2
         assert group["verdict"] == "PASS"
 
-    rows = cli.read_sweep_csv(out / "tables" / "sweep.csv")
+    rows = read_sweep_csv(out / "tables" / "sweep.csv")
     assert [r["index"] for r in rows] == [0, 1, 2, 3]
     assert set(rows[0]) == set(cli.SWEEP_COLUMNS)
     # full-precision floats: re-aggregating the CSV reproduces the report
@@ -683,7 +713,7 @@ def test_sweep_solves_each_distinct_point_once(tmp_path, monkeypatch):
     assert _counted_sweep(monkeypatch, args) == 12
     assert [(out / name).read_bytes() for name in ("report.json", "tables/sweep.csv")] \
         == deduplicated
-    rows = cli.read_sweep_csv(out / "tables" / "sweep.csv")
+    rows = read_sweep_csv(out / "tables" / "sweep.csv")
     assert [r["index"] for r in rows] == list(range(12))
     assert [r["seed"] for r in rows] == [101, 102, 103] * 4
 
@@ -693,7 +723,7 @@ def test_sweep_keeps_seeded_forcings_apart(tmp_path, monkeypatch):
                      "--set", "sweep.p_values=1.5", "--set", "sweep.mu_values=0.1",
                      "--set", "sweep.amplitudes=1", "--set", "sweep.seeds=101,102")
     assert _counted_sweep(monkeypatch, args) == 2
-    rows = cli.read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
+    rows = read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
     assert rows[0]["lhs"] != rows[1]["lhs"]
 
 
@@ -781,7 +811,7 @@ def test_sweep_rows_are_the_audit_rows_bit_for_bit(tmp_path):
                   "seeds": ",".join(map(str, audit.SHAPE_SEEDS))},
     }
     assert run_cli("sweep", *_config_args(tmp_path, config)) == 0
-    rows = cli.read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
+    rows = read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
     checked = audit.verify_estimate(name, n=8)["rows"]
     assert len(rows) == len(checked) == 24
     want = {(r["seed"], r["mu"], r["amplitude"]): r for r in checked}
@@ -808,7 +838,7 @@ def test_sweep_runs_one_pool_task_per_ladder(tmp_path, monkeypatch):
     assert run_cli("sweep", *args) == 0
     assert len(tasks) == 8
     assert all(task[6] == (0.25, 1.0, 4.0, 16.0) for task in tasks)
-    rows = cli.read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
+    rows = read_sweep_csv(tmp_path / "out" / "tables" / "sweep.csv")
     assert [r["index"] for r in rows] == list(range(32))
     assert [r["amplitude"] for r in rows[:8]] == [4.0, 4.0, 0.25, 0.25, 16.0, 16.0, 1.0, 1.0]
     assert [r["seed"] for r in rows[:2]] == [7, 8]
