@@ -15,7 +15,7 @@ which the estimate is claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .poisson import poisson_solve
 from .problems import ProblemSpec, rhs_sample, smooth_test_field
 
 __all__ = [
-    "AuditReport",
     "estimate_c4",
     "estimate_c5",
     "c5_table",
@@ -114,13 +113,19 @@ def estimate_c5(domain: DomainSpec, q: float, samples: int = 20, seed: int = 0) 
     return c5_table(domain, (float(q),), samples, seed)[float(q)]
 
 
-def estimate_constants(domain: DomainSpec, q_list, samples: int, seed: int):
-    """(c5 table, c4, growth fit, c6) from one pass over the samples: c4 is
-    its q = 2 entry, and the table keeps the q of q_list."""
+def estimate_constants(domain: DomainSpec, q_list, samples: int, seed: int,
+                       admissible_q) -> dict:
+    """The constants block of the constants and audit reports, from one pass
+    over the samples: c4_hat is c5_table's q = 2 entry, c5_hat its entries at
+    the q of q_list keyed f"{q:g}" in ascending q, c6_hat the max of both,
+    growth_fit that of c5_hat, and admissible_p the intervals at the q of
+    admissible_q."""
     table = c5_table(domain, q_list=tuple(q_list) + (2.0,), samples=samples, seed=seed)
     c4 = table[2.0]
-    table = {q: table[q] for q in map(float, q_list)}
-    return table, c4, growth_fit(table), max([c4] + list(table.values()))
+    table = {q: table[q] for q in sorted(map(float, q_list))}
+    return {"c4_hat": c4, "c5_hat": {f"{q:g}": v for q, v in table.items()},
+            "c6_hat": max([c4] + list(table.values())), "growth_fit": growth_fit(table),
+            "admissible_p": admissible_p(admissible_q, c4, table)}
 
 
 def growth_fit(table: dict) -> dict:
@@ -448,46 +453,6 @@ def holder_seminorm(domain: DomainSpec, grad_u: np.ndarray, alpha: float, seed: 
     return float(np.max(mag[keep] / dist[keep] ** alpha))
 
 
-@dataclass
-class AuditReport:
-    """Empirical constants plus the estimate checks that used them."""
-
-    c4_hat: float
-    c5_hat: dict
-    c6_hat: float
-    k1_hat: float
-    k2_hat: float
-    growth_slope: float
-    admissible: list
-    estimate_checks: list
-    tangential: dict
-    holder: dict
-    inputs: dict = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        expected = max([self.c4_hat] + [float(v) for v in self.c5_hat.values()])
-        if abs(self.c6_hat - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("c6_hat must be the max of c4_hat and the c5 table")
-
-    def verdicts(self) -> dict:
-        return {c["name"]: c["verdict"] for c in self.estimate_checks}
-
-    def to_dict(self) -> dict:
-        return {
-            "c4_hat": self.c4_hat,
-            "c5_hat": {f"{q:g}": v for q, v in sorted(self.c5_hat.items())},
-            "c6_hat": self.c6_hat,
-            "k1_hat": self.k1_hat,
-            "k2_hat": self.k2_hat,
-            "growth_slope": self.growth_slope,
-            "admissible_p": self.admissible,
-            "estimate_checks": self.estimate_checks,
-            "tangential": self.tangential,
-            "holder": self.holder,
-            "inputs": self.inputs,
-        }
-
-
 def run_audit(
     n: int = 16,
     constants_n: int = 32,
@@ -495,16 +460,17 @@ def run_audit(
     seed: int = 0,
     check_names=ESTIMATE_NAMES,
     q_list=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0),
-) -> AuditReport:
-    """Full audit: constants on the convex box, the named estimate checks,
-    the tangential energy ratio, and a Hölder seminorm probe.
+) -> dict:
+    """Full audit report: the estimate_constants block on the convex box,
+    its growth fit as k1_hat, k2_hat and growth_slope, the named estimate
+    checks, the tangential energy ratio, and a Hölder seminorm probe.
 
     Each check's entry equals verify_estimate(name, n=n), but checks whose
     problems coincide (same p, mu values, law, domain kind and n) share one
     solve of each problem; no solution outlives the call."""
     box = build_domain(DIRICHLET_BOX, constants_n)
-    table, c4, fit, c6 = estimate_constants(box, q_list, samples, seed)
-    adm = admissible_p((2.0, 4.0, 6.0), c4, table)
+    constants = estimate_constants(box, q_list, samples, seed, (2.0, 4.0, 6.0))
+    fit = constants.pop("growth_fit")
     families = {}
     checks = []
     for name in check_names:
@@ -532,17 +498,8 @@ def run_audit(
               "inputs": {"kind": hbox.kind, "n": n, "p": hp, "mu": 0.0,
                          "rhs_id": "smooth-trig", "amplitude": 1.0, "seed": 0}}
 
-    return AuditReport(
-        c4_hat=c4,
-        c5_hat=table,
-        c6_hat=c6,
-        k1_hat=fit["k1_hat"],
-        k2_hat=fit["k2_hat"],
-        growth_slope=fit["ls_slope"],
-        admissible=adm,
-        estimate_checks=checks,
-        tangential=tang,
-        holder=holder,
-        inputs={"n": n, "constants_n": constants_n, "samples": samples, "seed": seed,
-                "q_list": [float(q) for q in q_list], "check_names": list(check_names)},
-    )
+    return {**constants, "k1_hat": fit["k1_hat"], "k2_hat": fit["k2_hat"],
+            "growth_slope": fit["ls_slope"], "estimate_checks": checks, "tangential": tang,
+            "holder": holder,
+            "inputs": {"n": n, "constants_n": constants_n, "samples": samples, "seed": seed,
+                       "q_list": [float(q) for q in q_list], "check_names": list(check_names)}}

@@ -375,21 +375,19 @@ def _cmd_solve(config: dict, outdir: Path, formats: set) -> dict:
     }
 
 
+def _write_constants_csv(outdir: Path, report: dict) -> None:
+    _write_csv(outdir / "tables" / "constants.csv", ["q", "c5_hat"],
+               [[float(q), v] for q, v in report["c5_hat"].items()])
+
+
 def _cmd_constants(config: dict, outdir: Path, formats: set) -> dict:
     domain = _build_domain_checked(config)
     ac = config["audit"]
     q_list = _entries(config, "audit", "q_list")
-    table, c4, fit, c6 = audit_mod.estimate_constants(domain, q_list, ac["samples"], ac["seed"])
+    report = audit_mod.estimate_constants(domain, q_list, ac["samples"], ac["seed"], q_list)
     if "csv" in formats:
-        _write_csv(outdir / "tables" / "constants.csv", ["q", "c5_hat"],
-                   [[q, v] for q, v in sorted(table.items())])
-    return {
-        "c4_hat": c4,
-        "c5_hat": {f"{q:g}": v for q, v in sorted(table.items())},
-        "c6_hat": c6,
-        "growth_fit": fit,
-        "admissible_p": audit_mod.admissible_p(q_list, c4, table),
-    }
+        _write_constants_csv(outdir, report)
+    return report
 
 
 ESTIMATE_COLUMNS = ("name", "kind", "n", "p", "mu", "structure", "q", "rhs_id", "seed",
@@ -398,48 +396,51 @@ ESTIMATE_COLUMNS = ("name", "kind", "n", "p", "mu", "structure", "q", "rhs_id", 
 
 def _cmd_audit(config: dict, outdir: Path, formats: set) -> dict:
     ac = config["audit"]
-    rep = audit_mod.run_audit(
-        n=ac["n"],
-        constants_n=ac["constants_n"],
-        samples=ac["samples"],
-        seed=ac["seed"],
+    report = audit_mod.run_audit(
+        n=ac["n"], constants_n=ac["constants_n"], samples=ac["samples"], seed=ac["seed"],
         check_names=tuple(_entries(config, "audit", "checks")),
-        q_list=tuple(_entries(config, "audit", "q_list")),
-    )
+        q_list=tuple(_entries(config, "audit", "q_list")))
     if "csv" in formats:
         _write_csv(outdir / "tables" / "estimates.csv", list(ESTIMATE_COLUMNS),
                    [[r[c] for c in ESTIMATE_COLUMNS]
-                    for check in rep.estimate_checks for r in check["rows"]])
-        _write_csv(outdir / "tables" / "constants.csv", ["q", "c5_hat"],
-                   [[q, v] for q, v in sorted(rep.c5_hat.items())])
-    return rep.to_dict()
+                    for check in report["estimate_checks"] for r in check["rows"]])
+        _write_constants_csv(outdir, report)
+    return report
+
+
+def _solved_eta_mu(config: dict, cfg: solver.SolveConfig):
+    """(eta, mu) of the problem a configured solve's field solves, the last
+    step of its continuation path if it has one, and the key that sets mu."""
+    if cfg.continuation is None:
+        return cfg.eta, config["params"]["mu"], "[params] mu"
+    key = "cont_mu0" if config["solver"]["cont_mu0"] == 0.0 else "cont_mu_floor"
+    return cfg.continuation.eta_path[-1], cfg.continuation.mu_path[-1], f"[solver] {key}"
+
+
+def _check_reconstruct(config: dict) -> None:
+    """Reject, before any solve, a reconstruct whose field would solve a
+    problem outside the normal system's hypotheses p > 2 and mu > 0."""
+    p = config["params"]["p"]
+    _, mu, key = _solved_eta_mu(config, _build_solve_config(config))
+    if not p > 2.0:
+        raise ConfigError(f"invalid value for [params] p: {p!r} (reconstruct needs p > 2)")
+    if not mu > 0.0:
+        raise ConfigError(f"invalid value for {key}: {mu!r} (reconstruct needs mu > 0)")
 
 
 def _cmd_reconstruct(config: dict, outdir: Path, formats: set) -> dict:
     problem, cfg, v, rep = _solve_configured(config)
+    eta, mu, _ = _solved_eta_mu(config, cfg)
     check = reconstruct_mod.pointwise_bound_check(
-        problem.domain,
-        v,
-        problem.forcing(),
-        problem.params.p,
-        problem.params.mu,
-        structure=problem.params.structure,
-        eta=cfg.eta,
-        residual_tol=config["reconstruct"]["residual_tol"],
-    )
+        problem.domain, v, problem.forcing(), problem.params.p, mu,
+        structure=problem.params.structure, eta=eta,
+        residual_tol=config["reconstruct"]["residual_tol"])
     if "fields" in formats:
         (outdir / "fields").mkdir(parents=True, exist_ok=True)
         save_field(outdir / "fields" / "ratio.bin", problem.domain, check["ratio"])
         save_field(outdir / "fields" / "solution.bin", problem.domain, v)
-    return {
-        "solve": {"iterations": rep.iterations, "final_residual": rep.final_residual},
-        "ratio_max": check["ratio_max"],
-        "ratio_mean": check["ratio_mean"],
-        "mean_excluded": check["mean_excluded"],
-        "residual_rel": check["residual_rel"],
-        "reconstruction_rel_l2": check["reconstruction_rel_l2"],
-        "reconstruction_rel_median": check["reconstruction_rel_median"],
-    }
+    return {"solve": {"iterations": rep.iterations, "final_residual": rep.final_residual},
+            **{k: val for k, val in check.items() if not isinstance(val, np.ndarray)}}
 
 
 def _sweep_point(task) -> list:
@@ -570,6 +571,8 @@ def run(command: str, config: dict, strict: bool = False) -> int:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}, expected one of {tuple(COMMANDS)}")
     _check_grid_memory(command, config)
+    if command == "reconstruct":
+        _check_reconstruct(config)
     formats = set(_entries(config, "output", "formats"))
     outdir = Path(config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)

@@ -43,9 +43,10 @@ on MULTIGRID_AFTER says why).  A solve stops with NoConvergence at max_outer
 or once its best residual has not improved for STALL_STEPS outer steps; the
 first time, it drops Anderson for plain steps instead, since on an energy flat
 to roundoff every candidate passes while the residual wanders.  An overflow of
-the forcing norm, the law or the eta term raises NonFinite naming it, and one
-in an inner solve names its outer step; a candidate or trial whose energy
-overflows is rejected like any other that raises the energy.
+the forcing norm, the law or the eta term raises NonFinite naming it; an
+inner solve's NonFinite or IllConditioned names its outer step; a candidate
+or trial whose energy overflows is rejected like any other that raises the
+energy.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -185,8 +186,8 @@ class ContinuationPath:
         if len(self.eta_path) != len(self.mu_path) or not self.eta_path:
             raise ValueError("eta_path and mu_path must be equal-length, nonempty")
         for e, m in zip(self.eta_path, self.mu_path):
-            if e < 0.0 or m < 0.0 or e + m <= 0.0:
-                raise ValueError("every continuation step needs eta + mu > 0")
+            if not (e >= 0.0 and m >= 0.0 and e + m > 0.0):
+                raise ValueError("every continuation step needs eta, mu >= 0 and eta + mu > 0")
 
     @staticmethod
     def geometric(
@@ -229,10 +230,12 @@ class SolveConfig:
     continuation: Optional[ContinuationPath] = None
 
     def __post_init__(self):
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if not self.outer_tol > 0.0:
             raise ValueError("outer_tol must be positive")
+        if not self.max_outer >= 0:
+            raise ValueError(f"max_outer must be nonnegative, got {self.max_outer}")
 
 
 @dataclass
@@ -720,6 +723,9 @@ def solve(
                                INNER_MAXITER)
         except NonFinite as exc:
             raise NonFinite(f"{exc} in the inner solve of outer step {it}") from exc
+        except IllConditioned as exc:
+            raise IllConditioned(f"{exc} in the inner solve of outer step {it}",
+                                 achieved=exc.achieved, field=exc.field) from exc
         report.inner_iterations += inner_it
         use_multigrid |= (params.p < 2.0 and params.structure == "full"
                           and inner_it > MULTIGRID_AFTER)

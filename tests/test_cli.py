@@ -627,6 +627,41 @@ def test_reconstruct_gate_failure_exits_2(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_reconstruct_gates_a_continuation_on_its_last_path_step(tmp_path):
+    # the gate used to check the field against [params] mu and [solver] eta,
+    # not the path's last (eta, mu) that it solves, and exited 2 with
+    # "relative residual 1.822e-01 exceeds 1.0e-06"
+    code = run_cli("reconstruct", *base_args(tmp_path, "--set", "params.p=2.6",
+                                             "--set", "params.structure=symmetric",
+                                             "--set", "solver.continuation=true"))
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["residual_rel"] < 1e-6
+    assert report["residual_rel"] == pytest.approx(report["solve"]["final_residual"], rel=1e-5)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ((), "[params] p: 2.0"),
+    (("params.p=2.6", "params.mu=0", "solver.eta=0.1"), "[params] mu: 0.0"),
+    (("params.p=2.6", "solver.continuation=true", "solver.cont_mu0=0"), "[solver] cont_mu0: 0.0"),
+    # mu0 * ratio^j underflows to 0 on the way to a zero floor
+    (("params.p=2.6", "solver.continuation=true", "solver.cont_mu_floor=0",
+      "solver.cont_ratio=0.01", "solver.cont_max_steps=1000"), "[solver] cont_mu_floor: 0.0"),
+], ids=["p", "mu", "cont_mu0", "cont_mu_floor"])
+def test_reconstruct_hypotheses_are_checked_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                              overrides, key):
+    # p <= 2 used to be rejected only after the whole solve, once the output
+    # directory existed, with a message that named no key
+    solves = []
+    monkeypatch.setattr(cli.solver, "solve", lambda *a, **kw: solves.append(a))
+    monkeypatch.setattr(cli.solver, "continuation_solve", lambda *a, **kw: solves.append(a))
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert run_cli("reconstruct", *base_args(tmp_path, *args)) == 2
+    assert f"invalid value for {key}" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- sweep
 
 

@@ -43,6 +43,11 @@ def test_continuation_path_validation():
     # a step with eta = mu = 0 is the degenerate operator, not a path point
     with pytest.raises(ValueError):
         solver.ContinuationPath(eta_path=(1.0, 0.0), mu_path=(0.0, 0.0))
+    # NaN fails every comparison, so it used to pass a check written as x < 0
+    with pytest.raises(ValueError):
+        solver.ContinuationPath(eta_path=(float("nan"),), mu_path=(0.1,))
+    with pytest.raises(ValueError):
+        solver.ContinuationPath(eta_path=(0.1,), mu_path=(float("nan"),))
     with pytest.raises(ValueError):
         solver.ContinuationPath.geometric(ratio=1.5)
 
@@ -52,6 +57,12 @@ def test_solve_config_validation():
         solver.SolveConfig(eta=-1e-3)
     with pytest.raises(ValueError):
         solver.SolveConfig(outer_tol=0.0)
+    # eta = NaN used to be accepted, and max_outer = -1 to end solve in an
+    # UnboundLocalError
+    with pytest.raises(ValueError):
+        solver.SolveConfig(eta=float("nan"))
+    with pytest.raises(ValueError):
+        solver.SolveConfig(max_outer=-1)
 
 
 def test_geometric_path_reaches_floors():
@@ -286,6 +297,19 @@ def test_pcg_raises_when_the_preconditioner_loses_definiteness():
     with pytest.raises(NonFinite, match="r.z"):
         solver._pcg(dom, a.dot, lambda r: np.full_like(r, np.nan), b, np.zeros_like(b), b,
                     1e-10, 50)
+
+
+def test_an_ill_conditioned_inner_solve_names_its_outer_step():
+    # at p = 1e6 the law's coefficients underflow to 0, so the first inner
+    # solve finds p.Ap = 0; the error used to name no outer step
+    dom = grid.build_domain("cubic_periodic", 8)
+    with pytest.raises(IllConditioned, match=r"loss of definiteness at PCG iteration 1: .* "
+                                             r"in the inner solve of outer step 0$") as exc:
+        solver.solve(make_problem(dom, 1e6, 0.1), solver.SolveConfig())
+    cause = exc.value.__cause__
+    assert isinstance(cause, IllConditioned)
+    assert exc.value.achieved == cause.achieved == 1.0
+    assert exc.value.field is cause.field
 
 
 def _one_sided(dom, f, axis, forward):
@@ -623,10 +647,13 @@ def test_accelerated_solve_of_the_stagnating_reproducer_converges():
 @pytest.mark.parametrize("mu, eta", [(float("nan"), 0.0), (0.1, float("nan"))])
 def test_solve_raises_on_non_finite_residual_or_energy(mu, eta):
     # at p = 2 a nan mu leaves the coefficient nan**0 == 1, so only the
-    # energy shows it; a nan eta poisons the residual
+    # energy shows it; a nan eta poisons the residual.  SolveConfig refuses a
+    # nan eta, so it is set on a built config, which a caller can still do
     dom = grid.build_domain("dirichlet_box", 8)
+    config = solver.SolveConfig()
+    config.eta = eta
     with pytest.raises(NonFinite):
-        solver.solve(make_problem(dom, 2.0, mu), solver.SolveConfig(eta=eta))
+        solver.solve(make_problem(dom, 2.0, mu), config)
 
 
 @pytest.mark.parametrize("overflowed", [1, 4])
