@@ -76,10 +76,22 @@ def _check_q_range(q_list) -> None:
             raise ValueError(f"q must lie in [2, 16], got {q}")
 
 
+def _q_key(q) -> str:
+    """The key of q in a report's c5_hat."""
+    return f"{float(q):g}"
+
+
 def check_q_list(q_list) -> None:
     """Raise ValueError unless estimate_constants can take q_list: every q
-    in [2, 16] and at least two distinct ones in Q_WINDOW for growth_fit."""
+    in [2, 16], no two with one c5_hat key, and at least two in Q_WINDOW for
+    growth_fit."""
     _check_q_range(q_list)
+    seen = {}
+    for q in q_list:
+        key = _q_key(q)
+        if key in seen:
+            raise ValueError(f"q values {seen[key]} and {q} share the c5_hat key {key!r}")
+        seen[key] = q
     fit = {float(q) for q in q_list if Q_WINDOW[0] <= float(q) <= Q_WINDOW[1]}
     if len(fit) < 2:
         raise ValueError(f"need at least two q values in [4, 16], got {len(fit)}")
@@ -117,13 +129,13 @@ def estimate_constants(domain: DomainSpec, q_list, samples: int, seed: int,
                        admissible_q) -> dict:
     """The constants block of the constants and audit reports, from one pass
     over the samples: c4_hat is c5_table's q = 2 entry, c5_hat its entries at
-    the q of q_list keyed f"{q:g}" in ascending q, c6_hat the max of both,
+    the q of q_list keyed by _q_key in ascending q, c6_hat the max of both,
     growth_fit that of c5_hat, and admissible_p the intervals at the q of
     admissible_q."""
     table = c5_table(domain, q_list=tuple(q_list) + (2.0,), samples=samples, seed=seed)
     c4 = table[2.0]
     table = {q: table[q] for q in sorted(map(float, q_list))}
-    return {"c4_hat": c4, "c5_hat": {f"{q:g}": v for q, v in table.items()},
+    return {"c4_hat": c4, "c5_hat": {_q_key(q): v for q, v in table.items()},
             "c6_hat": max([c4] + list(table.values())), "growth_fit": growth_fit(table),
             "admissible_p": admissible_p(admissible_q, c4, table)}
 

@@ -34,7 +34,7 @@ from .audit import ESTIMATE_NAMES
 from .constitutive import FULL_GRADIENT, SYMMETRIC_GRADIENT, ConstitutiveParams
 from .errors import ConfigError, PStructError
 from .grid import build_domain, save_field
-from .problems import RHS_IDS, SEEDED_RHS_IDS, ProblemSpec, RhsSpec
+from .problems import RHS_IDS, SEEDED_RHS_IDS, ProblemSpec, rhs_sample
 
 OUTPUT_FORMATS = ("json", "csv", "fields")
 
@@ -217,11 +217,12 @@ def _usable_cpus() -> int:
 
 def _check_grid_memory(command: str, config: dict) -> None:
     """Reject a grid size the command reads whose estimated peak exceeds the
-    memory available; a sweep's pool runs one per worker, up to the CPUs."""
+    memory available; a sweep runs one solve in each process of its pool."""
     memory = _available_memory()
     if memory is None:
         return
-    solves = min(config["sweep"]["workers"], _usable_cpus()) if command == "sweep" else 1
+    solves = (_pool_size(config["sweep"]["workers"], len(set(_sweep_ladders(config)[1])))
+              if command == "sweep" else 1)
     for section, key, structure in GRID_KEYS[command]:
         n = config[section][key]
         need = solves * solver.peak_memory_estimate(n, structure or config["params"]["structure"])
@@ -236,8 +237,11 @@ def load_config(path=None, overrides=()) -> dict:
     """Materialize the full config: defaults, then file, then --set flags."""
     config = default_config()
     if path is not None:
-        cp = configparser.ConfigParser()
-        read = cp.read(path)
+        cp = configparser.ConfigParser(interpolation=None)  # values read literally, as with --set
+        try:
+            read = cp.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in cp.sections():
@@ -310,10 +314,10 @@ def _build_problem(config: dict):
         raise ConfigError(f"invalid value in [params]: {exc}") from exc
     rc = config["rhs"]
     try:
-        rhs = RhsSpec(id=rc["id"], amplitude=rc["amplitude"], seed=rc["seed"])
+        f = rhs_sample(domain, rc["id"], rc["amplitude"], rc["seed"])
     except ValueError as exc:
         raise ConfigError(f"invalid value in [rhs]: {exc}") from exc
-    return ProblemSpec(domain, params, rhs=rhs)
+    return ProblemSpec(domain, params, f)
 
 
 def _build_solve_config(config: dict) -> solver.SolveConfig:
@@ -502,39 +506,42 @@ def _pool_size(workers: int, ladders: int) -> int:
     return min(workers, ladders, _usable_cpus())
 
 
-def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
-    sc = config["sweep"]
+def _sweep_ladders(config: dict) -> tuple:
+    """A sweep's points (p, mu, amplitude, seed) in index order, and the
+    ladder key of each: one ladder per (p, mu), and per seed only if the
+    forcing reads it; points equal in this key and the amplitude are solved
+    once."""
     p_values, mu_values, amplitudes, seeds = (
         _entries(config, "sweep", key) for key in ("p_values", "mu_values", "amplitudes", "seeds"))
+    seeded = config["rhs"]["id"] in SEEDED_RHS_IDS
+    points = [(p, mu, amplitude, seed) for p in p_values for mu in mu_values
+              for amplitude in amplitudes for seed in seeds]
+    return points, [(p, mu) + ((seed,) if seeded else ()) for p, mu, _, seed in points]
+
+
+def _cmd_sweep(config: dict, outdir: Path, formats: set) -> dict:
+    points, keys = _sweep_ladders(config)
     _build_problem(config)  # the [domain], [params] structure and [rhs] checks
     kind = config["domain"]["kind"]
     n = config["domain"]["n"]
     structure = config["params"]["structure"]
     rhs_id = config["rhs"]["id"]
     cfg = _build_solve_config(config)
-    points = [(p, mu, amplitude, seed) for p in p_values for mu in mu_values
-              for amplitude in amplitudes for seed in seeds]
-    ladder = tuple(sorted(set(amplitudes)))
-
-    def key(p, mu, seed):
-        # one ladder per (p, mu), and per seed only if the forcing reads it:
-        # points equal in this key and the amplitude are solved once
-        return (p, mu) + ((seed,) if rhs_id in SEEDED_RHS_IDS else ())
-
+    ladder = tuple(sorted({amplitude for _, _, amplitude, _ in points}))
     ladders = {}  # its p, mu and seed, and the first index of each amplitude
-    for idx, (p, mu, amplitude, seed) in enumerate(points):
-        ladders.setdefault(key(p, mu, seed), (p, mu, seed, {}))[3].setdefault(amplitude, idx)
+    for idx, ((p, mu, amplitude, seed), key) in enumerate(zip(points, keys)):
+        ladders.setdefault(key, (p, mu, seed, {}))[3].setdefault(amplitude, idx)
     tasks = [(tuple(first[a] for a in ladder), kind, n, structure, p, mu, ladder, seed, rhs_id,
               cfg) for p, mu, seed, first in ladders.values()]
-    workers = _pool_size(sc["workers"], len(tasks))
+    workers = _pool_size(config["sweep"]["workers"], len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_sweep_point, tasks))
     else:
         solved = [_sweep_point(task) for task in tasks]
     by_point = {(k, row["amplitude"]): row for k, rows in zip(ladders, solved) for row in rows}
-    rows = [{**by_point[key(p, mu, seed), amplitude], "index": idx, "seed": seed}
-            for idx, (p, mu, amplitude, seed) in enumerate(points)]
+    rows = [{**by_point[key, amplitude], "index": idx, "seed": seed}
+            for idx, ((_, _, amplitude, seed), key) in enumerate(zip(points, keys))]
     if "csv" in formats:
         _write_csv(outdir / "tables" / "sweep.csv", list(SWEEP_COLUMNS),
                    [[r[c] for c in SWEEP_COLUMNS] for r in rows])

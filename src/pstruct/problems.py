@@ -10,7 +10,7 @@ field exactly (so a solve exhibits the scheme's O(h^2) error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import UnknownId
 from .grid import D2_PAIRS, DomainSpec, gradient_mode, norm as grid_norm
 
 __all__ = [
-    "RhsSpec",
     "ProblemSpec",
     "rhs_sample",
     "AnalyticField",
@@ -36,29 +35,13 @@ RHS_IDS = ("constant", "smooth-trig", "band-limited-random")
 SEEDED_RHS_IDS = ("band-limited-random",)  # the others ignore rhs_sample's seed
 
 
-@dataclass(frozen=True)
-class RhsSpec:
-    id: str = "smooth-trig"
-    amplitude: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.id not in RHS_IDS:
-            raise UnknownId(f"rhs id {self.id!r} not in catalog {RHS_IDS}")
-        if not self.amplitude > 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-
-
 @dataclass
 class ProblemSpec:
     domain: DomainSpec
     params: ConstitutiveParams
-    rhs: RhsSpec = dataclass_field(default_factory=RhsSpec)
-    f: Optional[np.ndarray] = None  # explicit forcing overrides the catalog
+    f: np.ndarray
 
     def forcing(self) -> np.ndarray:
-        if self.f is None:
-            self.f = rhs_sample(self.domain, self.rhs.id, self.rhs.amplitude, self.rhs.seed)
         return self.f
 
 

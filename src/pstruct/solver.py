@@ -835,7 +835,7 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
     prev_delta = v_prev = None
     for j, (eta_j, mu_j) in enumerate(zip(path.eta_path, path.mu_path)):
         params_j = replace(problem.params, mu=mu_j)
-        prob_j = ProblemSpec(problem.domain, params_j, rhs=problem.rhs, f=f)
+        prob_j = ProblemSpec(problem.domain, params_j, f=f)
         cfg_j = replace(config, eta=eta_j, continuation=None)
         v_new, report = solve(prob_j, cfg_j, initial=_predicted_start(path, j, v, v_prev))
         totals["solves"] += 1

@@ -69,6 +69,30 @@ def test_missing_config_file():
         cli.load_config("/nonexistent/run.ini")
 
 
+@pytest.mark.parametrize("text, encoding", [
+    ("[output]\ndirectory = {out}\n[params]\np = 1.5\np = 1.8\n", "ascii"),
+    ("p = 1.5\n[output]\ndirectory = {out}\n", "ascii"),
+    ("[output]\ndirectory = {out}\n[params]\np\n", "ascii"),
+    ("[output]\ndirectory = {out}\n", "utf-16"),
+    ("[output]\ndirectory = {out}%1\n", "ascii"),
+], ids=["duplicate-option", "no-section-header", "no-equals-sign", "utf-16", "percent-sign"])
+def test_a_malformed_config_file_is_named(tmp_path, capsys, text, encoding):
+    # each used to end in a configparser or decode traceback, exit status 1;
+    # a % in a file value reads literally, as it does with --set
+    ini, out = tmp_path / "run.ini", tmp_path / "out"
+    ini.write_text(text.format(out=out), encoding=encoding)
+    code = run_cli("solve", "--config", str(ini), "--set", "domain.n=8")
+    if "%" in text:
+        assert code == 0
+        report = json.loads((tmp_path / "out%1" / "report.json").read_text())
+        assert report["config"]["output"]["directory"] == f"{out}%1"
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(ini) in err
+        assert not out.exists()
+
+
 def test_unknown_section_and_key_are_named():
     config = cli.default_config()
     with pytest.raises(ConfigError, match=r"\[mesh\]"):
@@ -196,8 +220,8 @@ def test_grid_ceiling_follows_the_law_and_the_memory(monkeypatch):
 
 
 def test_sweep_memory_check_counts_the_pool_s_processes(tmp_path, capsys, monkeypatch):
-    # a sweep solves up to min(workers, CPUs) points at once, one per process:
-    # memory for one and a half solves takes one worker but not two
+    # a sweep solves up to min(workers, ladders, CPUs) ladders at once, one per
+    # process: memory for one and a half solves takes one worker but not two
     from pstruct import solver
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -210,6 +234,9 @@ def test_sweep_memory_check_counts_the_pool_s_processes(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "[domain] n" in err and "memory available" in err
     assert not out.exists()
+    # two workers on one ladder start one process: the smooth forcing ignores the seed
+    cli._check_grid_memory("sweep", cli.load_config(None, [
+        "domain.n=8", "sweep.p_values=1.5", "sweep.mu_values=0", "sweep.workers=2"]))
     # more workers than CPUs start no more processes than the CPUs
     monkeypatch.setattr(cli, "_available_memory", lambda: 2 * one)
     cli._check_grid_memory("sweep", cli.load_config(None, ["domain.n=8", "sweep.workers=64"]))
@@ -528,9 +555,11 @@ def test_audit_command_subset(tmp_path):
 @pytest.mark.parametrize("q_list, why", [
     ("2,4", "need at least two q values in [4, 16], got 1"),
     ("1,4,8", "q must lie in [2, 16], got 1.0"),
-], ids=["one-in-window", "below-range"])
+    ("4,4.0000001,8", "q values 4.0 and 4.0000001 share the c5_hat key '4'"),
+], ids=["one-in-window", "below-range", "shared-key"])
 def test_q_list_is_validated_at_parse(tmp_path, capsys, command, q_list, why):
-    # both used to end in a ValueError traceback from audit, exit status 1
+    # the first two used to end in a ValueError traceback from audit, exit
+    # status 1; the third was merged into one c5_hat key without a word
     with pytest.raises(ConfigError, match=r"\[audit\] q_list"):
         cli.load_config(None, [f"audit.q_list={q_list}"])
     assert run_cli(command, *base_args(tmp_path, "--set", f"audit.q_list={q_list}")) == 2

@@ -4,6 +4,7 @@ the functions the benchmark traces."""
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 def test_the_package_exports_resolve():
     assert len(set(pstruct.__all__)) == len(pstruct.__all__)
     assert [name for name in pstruct.__all__ if not hasattr(pstruct, name)] == []
+    assert [name for name in pstruct.__all__
+            if isinstance(getattr(pstruct, name), types.ModuleType)] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -9,8 +9,6 @@ from pstruct.constitutive import ConstitutiveParams
 from pstruct.errors import UnknownId
 from pstruct.problems import (
     AnalyticField,
-    ProblemSpec,
-    RhsSpec,
     extend_profile,
     manufactured_continuous,
     manufactured_discrete,
@@ -92,18 +90,6 @@ def test_rhs_validation():
         rhs_sample(dom, "delta-spike")
     with pytest.raises(ValueError):
         rhs_sample(dom, "constant", amplitude=0.0)
-    with pytest.raises(UnknownId):
-        RhsSpec(id="delta-spike")
-    with pytest.raises(ValueError):
-        RhsSpec(amplitude=-1.0)
-
-
-def test_problem_spec_forcing_cached():
-    dom = g.build_domain(g.CUBIC_PERIODIC, 8)
-    spec = ProblemSpec(dom, ConstitutiveParams(p=2.0), rhs=RhsSpec(id="constant"))
-    f1 = spec.forcing()
-    f2 = spec.forcing()
-    assert f1 is f2
 
 
 def test_analytic_field_matches_grid_operators():
