@@ -22,7 +22,7 @@ import numpy as np
 from . import grid as g
 from . import solver
 from .constitutive import ConstitutiveParams
-from .errors import BadRange
+from .errors import BadRange, NonFinite
 from .grid import CUBIC_PERIODIC, DIRICHLET_BOX, DomainSpec, build_domain
 from .poisson import poisson_solve
 from .problems import ProblemSpec, rhs_sample, smooth_test_field
@@ -272,7 +272,11 @@ def rhs_value(domain: DomainSpec, f: np.ndarray, kind: str, q: float, p: float) 
     if kind == "plain":
         return g.norm(domain, f, q=q)
     if kind == "two_term":
-        return g.norm(domain, f, q=q) + g.norm(domain, f, q=r_of_q(q, p)) ** (1.0 / (p - 1.0))
+        with np.errstate(over="ignore"):
+            term = np.float64(g.norm(domain, f, q=r_of_q(q, p))) ** (1.0 / (p - 1.0))
+        if not np.isfinite(term):
+            raise NonFinite(f"the two-term RHS is {term} at p = {p:g}")
+        return g.norm(domain, f, q=q) + float(term)
     raise ValueError(kind)
 
 
@@ -299,9 +303,10 @@ def solve_family(kind: str, n: int, p: float, mu_values, structure: str, rhs_id:
                  base=solver.SolveConfig(outer_tol=OUTER_TOL, max_outer=MAX_OUTER)):
     """Solve every problem of one estimate family, in sweep order: per seed
     and mu, the amplitudes ascending, each warm-started from the last
-    solution scaled by the amplitude ratio to the power 1/(p-1), under base
-    at its eta, raised to ETA_FLOOR at mu = 0.  Yields one (seed, mu, eta,
-    amplitude, f, u, SolveReport) per problem, each as soon as it is solved."""
+    solution scaled by the amplitude ratio to the power 1/(p-1) (cold where
+    that overflows, as it can near p = 1), under base at its eta, raised to
+    ETA_FLOOR at mu = 0.  Yields one (seed, mu, eta, amplitude, f, u,
+    SolveReport) per problem, each as soon as it is solved."""
     domain = build_domain(kind, n)
     for seed in seeds:
         for mu in mu_values:
@@ -311,7 +316,9 @@ def solve_family(kind: str, n: int, p: float, mu_values, structure: str, rhs_id:
             prev = None
             for amp in sorted(amplitudes):
                 f = rhs_sample(domain, rhs_id, amp, seed)
-                initial = None if prev is None else prev[0] * (amp / prev[1]) ** (1.0 / (p - 1.0))
+                with np.errstate(over="ignore"):  # near p = 1 it overflows: start cold
+                    scale = np.inf if prev is None else np.float64(amp / prev[1]) ** (1 / (p - 1))
+                initial = prev[0] * scale if np.isfinite(scale) else None
                 u, rep = solver.solve(ProblemSpec(domain, params, f=f), cfg, initial=initial)
                 prev = (u, amp)
                 yield int(seed), mu, eta, float(amp), f, u, rep

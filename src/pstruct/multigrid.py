@@ -167,11 +167,10 @@ def _levels(domain: DomainSpec) -> tuple:
     finest pattern is the full law assembly's first block."""
     from .solver import _assembly  # solver imports this module
 
-    asm = _assembly(domain, "full")
-    nodes = asm.size // 3
-    indices = asm.indices[: asm.indptr[nodes]]
-    pattern = sp.csr_matrix((np.ones(indices.size), indices, asm.indptr[: nodes + 1]),
-                            shape=(nodes, nodes))
+    indptr, indices = _assembly(domain, "full")[:2]
+    nodes = (indptr.size - 1) // 3
+    pattern = sp.csr_matrix((np.ones(indptr[nodes]), indices[: indptr[nodes]],
+                             indptr[: nodes + 1]), shape=(nodes, nodes))
     out = []
     for p in interpolations(domain):
         coarse, galerkin = _galerkin_map(pattern, p)

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -426,22 +426,14 @@ def _element_triplets(domain: DomainSpec, free: np.ndarray, mode: str):
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-class _Assembly(NamedTuple):
-    """The frozen operator's CSR pattern over the free DOFs of one (domain,
-    law) and the linear map from [a+, a-, eta] to its data (on the full law,
-    the data of the first of its three equal blocks).  The map is CSC, so
-    law_map, the map of [a+, a-] alone that serves the fills at eta = 0, is
-    a slice of its arrays."""
-
-    size: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    coefficient_map: sp.csc_matrix
-    law_map: sp.csc_matrix
-
-
 @lru_cache(maxsize=4)
-def _assembly(domain: DomainSpec, mode: str) -> _Assembly:
+def _assembly(domain: DomainSpec, mode: str) -> tuple:
+    """(indptr, indices, coefficient_map, law_map) of the frozen operator
+    over the free DOFs of one (domain, law): its CSR pattern and the linear
+    map from [a+, a-, eta] to its data (on the full law, the data of the
+    first of its three equal blocks).  law_map, the map of [a+, a-] alone
+    that serves the fills at eta = 0, is a view of coefficient_map's leading
+    columns."""
     # the full law's matrix is three equal uncoupled blocks: map the first
     free = np.full((1 if mode == "full" else 3,) + domain.shape, -1, dtype=np.int64)
     sel = (slice(None),) + domain.interior
@@ -452,39 +444,30 @@ def _assembly(domain: DomainSpec, mode: str) -> _Assembly:
     pattern = np.sort(np.concatenate([keys for keys, _, _ in laws.values()]))
     pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
     nodes = free[0].size
-    maps = {law: sp.csr_matrix((value, (np.searchsorted(pattern, keys), coef)),
+    maps = {law: sp.csc_matrix((value, (np.searchsorted(pattern, keys), coef)),
                                shape=(pattern.size, 2 * nodes))
             for law, (keys, coef, value) in laws.items()}
     del laws  # the triplets are the build's largest arrays
     mp, mm = g.face_masks(domain)
     eta_data = maps["full"] @ np.concatenate((mp.ravel(), mm.ravel()))
     # the eta column is the last: its entries follow the law's
-    law = maps[mode].tocsc()
+    coefficient_map = sp.hstack((maps[mode], sp.csc_matrix(eta_data[:, None])), format="csc")
     del maps
-    rows = np.flatnonzero(eta_data)
-    coefficient_map = sp.csc_matrix(
-        (np.concatenate((law.data, eta_data[rows])), np.concatenate((law.indices, rows)),
-         np.append(law.indptr, law.nnz + rows.size)), shape=(pattern.size, 2 * nodes + 1))
-    law_map = sp.csc_matrix((coefficient_map.data[: law.nnz], coefficient_map.indices[: law.nnz],
-                             coefficient_map.indptr[:-1]), shape=law.shape)
+    nnz = coefficient_map.indptr[-2]  # slicing would copy: a view over the law's columns
+    law_map = sp.csc_matrix((coefficient_map.data[:nnz], coefficient_map.indices[:nnz],
+                             coefficient_map.indptr[:-1]), shape=(pattern.size, 2 * nodes))
     indptr = np.searchsorted(pattern // size, np.arange(size + 1))
     indices = pattern % size
     if mode == "full":
         indptr = np.concatenate([indptr[:-1] + k * pattern.size for k in range(3)]
                                 + [[3 * pattern.size]])
         indices = np.concatenate([indices + k * size for k in range(3)])
-        size *= 3
     # scipy's own index dtype, so filling a matrix copies no index array; the
     # filled matrices share them, so they are read-only
-    template = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(size, size))
-    template.indptr.flags.writeable = template.indices.flags.writeable = False
-    return _Assembly(
-        size=size,
-        indptr=template.indptr,
-        indices=template.indices,
-        coefficient_map=coefficient_map,
-        law_map=law_map,
-    )
+    dtype = sp.get_index_dtype((indptr, indices), check_contents=True)
+    indptr, indices = indptr.astype(dtype), indices.astype(dtype)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices, coefficient_map, law_map
 
 
 def _frozen_matrix(
@@ -492,15 +475,15 @@ def _frozen_matrix(
 ) -> sp.csr_matrix:
     """_apply_pm(domain, a_plus, a_minus, eta, mode, .) as a CSR matrix over
     the free DOFs, numbered component-major in domain.interior order."""
-    asm = _assembly(domain, mode)
+    indptr, indices, coefficient_map, law_map = _assembly(domain, mode)
     coefficients = np.concatenate((a_plus.ravel(), a_minus.ravel(), [eta]))
     if eta == 0.0:  # skips the eta column's products, all zero
-        data = asm.law_map @ coefficients[:-1]
+        data = law_map @ coefficients[:-1]
     else:
-        data = asm.coefficient_map @ coefficients
+        data = coefficient_map @ coefficients
     if mode == "full":
         data = np.tile(data, 3)
-    return sp.csr_matrix((data, asm.indices, asm.indptr), shape=(asm.size, asm.size))
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 def peak_memory_estimate(n: int, structure: str) -> int:
@@ -656,6 +639,8 @@ def solve(
     if not np.isfinite(fnorm):
         raise NonFinite(f"forcing norm is {fnorm}: its sum of squares overflowed")
     if fnorm == 0.0:
+        if np.any(f):
+            raise NonFinite(f"forcing norm is {fnorm}: its sum of squares underflowed")
         report.converged = True
         return np.zeros_like(f), report
     if initial is None:

@@ -378,6 +378,24 @@ def test_solve_family_climbs_past_an_anderson_stall():
     assert rungs[-1][-1].iterations > audit.solver.STALL_STEPS
 
 
+def test_solve_family_starts_cold_where_the_warm_start_scale_overflows(monkeypatch, recwarn):
+    # at p = 1.0001 the third rung's scale (0.5 / 0.0010001)^10000 is no
+    # float: it used to raise OverflowError.  The second's, about e, is
+    initials = []
+    solve = audit.solver.solve
+
+    def recording(problem, config, initial=None):
+        initials.append(initial)
+        return solve(problem, config, initial=initial)
+
+    monkeypatch.setattr(audit.solver, "solve", recording)
+    rungs = list(audit.solve_family("cubic_periodic", 8, 1.0001, (10.0,), "full", seeds=(1,),
+                                    amplitudes=(0.001, 0.0010001, 0.5)))
+    assert all(rung[-1].converged for rung in rungs)
+    assert [initial is None for initial in initials] == [True, False, True]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_solve_family_eta_is_the_base_eta_raised_to_the_floor_at_mu_zero(monkeypatch):
     etas = []
     solve = audit.solver.solve

@@ -591,24 +591,42 @@ def test_reconstruct_command(tmp_path):
     assert report["reconstruction_rel_l2"] < 1.0
 
 
-@pytest.mark.parametrize("overrides, cause", [
-    ("params.p=40", "the law overflowed at outer step"),
-    ("params.p=30", "the law overflowed at outer step"),
-    ("rhs.amplitude=1e200", "forcing norm is inf: its sum of squares overflowed"),
+NAMED_FAILURES = [
+    ("solve", "params.p=40", "the law overflowed at outer step"),
+    ("solve", "params.p=30", "the law overflowed at outer step"),
+    ("solve", "rhs.amplitude=1e200", "forcing norm is inf: its sum of squares overflowed"),
     # mu**p on a Python float used to raise OverflowError: a traceback, exit 1
-    ("params.p=1.5 params.mu=1e300", "energy is nan: the law overflowed at outer step 0"),
+    ("solve", "params.p=1.5 params.mu=1e300", "energy is nan: the law overflowed at outer step 0"),
     # used to blame the law, whose coefficients were all 1
-    ("solver.eta=1e300", "relative residual is inf: the eta term overflowed at outer step 0"),
+    ("solve", "solver.eta=1e300",
+     "relative residual is inf: the eta term overflowed at outer step 0"),
     # used to say only "PCG r.z is inf"
-    ("params.p=1.5 params.mu=0 solver.eta=1e-8 rhs.amplitude=1e150",
+    ("solve", "params.p=1.5 params.mu=0 solver.eta=1e-8 rhs.amplitude=1e150",
      "PCG r.z is inf in the inner solve of outer step 0"),
-])
-def test_an_overflow_is_named_and_warns_nothing(tmp_path, capsys, recwarn, overrides, cause):
+    # used to write converged: true with v = 0
+    ("solve", "params.p=1.5 rhs.amplitude=1e-300",
+     "forcing norm is 0.0: its sum of squares underflowed"),
+    # used to end in ZeroDivisionError at the estimate's ratio: exit 1
+    ("sweep", "sweep.amplitudes=1e-300 sweep.seeds=1",
+     "sweep point index=0 p=1.2 mu=0 amplitude=1e-300 seed=1: forcing norm is 0.0: its sum of "
+     "squares underflowed"),
+    # ||f||_r ** (1/(p-1)) on a Python float used to raise OverflowError: exit 1
+    ("sweep", "sweep.p_values=1.0001 sweep.mu_values=10 sweep.amplitudes=4 sweep.seeds=1",
+     "sweep point index=0 p=1.0001 mu=10 amplitude=4 seed=1: the two-term RHS is inf at "
+     "p = 1.0001"),
+]
+
+
+# the ids leave the command out: the override keys name it
+@pytest.mark.parametrize("command, overrides, cause", NAMED_FAILURES,
+                         ids=[f"{overrides}-{cause}" for _, overrides, cause in NAMED_FAILURES])
+def test_an_overflow_is_named_and_warns_nothing(tmp_path, capsys, recwarn, command, overrides,
+                                                cause):
     # the first three used to exit with only "relative residual is nan",
     # after numpy's overflow warnings reached stderr; overrides are
-    # space-separated
+    # space-separated.  An underflow is named the same way
     args = [arg for item in overrides.split() for arg in ("--set", item)]
-    assert run_cli("solve", *base_args(tmp_path, *args)) == 2
+    assert run_cli(command, *base_args(tmp_path, *args)) == 2
     assert cause in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

@@ -521,6 +521,18 @@ def test_eta_column_is_eta_times_the_unit_face_data(kind, mode):
         assert np.array_equal(got, eta * unit)
 
 
+@pytest.mark.parametrize("kind", ["dirichlet_box", "cubic_periodic"])
+@pytest.mark.parametrize("n", [8, 11])
+@pytest.mark.parametrize("mode", ["full", "symmetric"])
+def test_law_map_is_the_coefficient_map_at_eta_zero(kind, n, mode):
+    # the fills at eta = 0 skip the eta column through law_map, a view of
+    # the coefficient map's leading columns
+    _, _, coefficient_map, law_map = solver._assembly(grid.build_domain(kind, n), mode)
+    assert np.shares_memory(law_map.data, coefficient_map.data)
+    c = np.random.default_rng(n).uniform(0.1, 10.0, law_map.shape[1])
+    assert (law_map @ c).tobytes() == (coefficient_map @ np.append(c, 0.0)).tobytes()
+
+
 def test_assembly_cache_is_bounded():
     solver._assembly.cache_clear()
     maxsize = solver._assembly.cache_info().maxsize
