@@ -608,6 +608,21 @@ def energy(v: np.ndarray, problem: ProblemSpec, eta: float, pair=None) -> float:
     return float(quad * domain.h**3)
 
 
+def _safeguard(problem: ProblemSpec, eta: float, e_cur: float, trials):
+    """An outer step's one energy test: (k, trial, pair, energy, False) of the
+    first of trials (full-grid fields, built as tried) whose energy is at most
+    the finite e_cur plus a roundoff slack, or (k, None, None, energy) of the
+    last and whether any trial's energy was NaN or infinite."""
+    slack, overflowed = 1e-12 * (1.0 + abs(e_cur)), False
+    for k, trial in enumerate(trials):
+        pair = _pm_gradients(problem.domain, trial)
+        e_trial = energy(trial, problem, eta, pair)
+        if e_trial <= e_cur + slack:
+            return k, trial, pair, e_trial, False
+        overflowed |= not np.isfinite(e_trial)
+    return k, None, None, e_trial, overflowed
+
+
 @np.errstate(over="ignore", invalid="ignore")  # each overflow is raised by name
 def solve(
     problem: ProblemSpec, config: SolveConfig, initial: Optional[np.ndarray] = None
@@ -689,11 +704,15 @@ def solve(
             return v, report
         if res < best[0]:
             best = (res, it, v)
-        if it - max(best[1], plain_from) >= STALL_STEPS and depth:
-            # stalled with Anderson on: go on with plain steps (module docstring)
-            depth, plain_from = 0, it
+        stalled = it - max(best[1], plain_from) >= STALL_STEPS
+        if stalled and depth:  # with Anderson on: go on with plain steps (module docstring)
+            depth, plain_from, stalled = 0, it, False
             dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
-        if it == config.max_outer or it - max(best[1], plain_from) >= STALL_STEPS:
+        if it == config.max_outer or stalled:
+            failure = (f"no convergence in {config.max_outer}" if it == config.max_outer
+                       else f"no new best residual in {STALL_STEPS}")
+            failure += (f" outer iterations (relative residual {res:.3e}, "
+                        f"best {best[0]:.3e} at step {best[1]})")
             break
         inner_rtol = max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
         if use_multigrid:
@@ -727,56 +746,35 @@ def solve(
                 del dfs[0], dgs[0]
                 gram = gram[1:, 1:]
         last = (fk, x)
-        # the slack only absorbs float cancellation in the energy
-        slack = 1e-12 * (1.0 + abs(e_cur))
         if dfs:
             gamma = np.linalg.lstsq(gram, [np.sum(d * fk) for d in dfs], rcond=1e-12)[0]
             candidate = x.copy()
             for gj, dg in zip(gamma, dgs):
                 candidate -= gj * dg
-            trial = _field(domain, candidate)
-            pair = _pm_gradients(domain, trial)
-            e_next = energy(trial, problem, config.eta, pair)
-            if np.isfinite(e_next) and e_next <= e_cur + slack:
+            _, trial, pair, e_next, _ = _safeguard(problem, config.eta, e_cur,
+                                                   [_field(domain, candidate)])
+            if trial is not None:
                 report.accelerated += 1
                 v, e_cur = trial, e_next
                 continue
             report.restarts += 1
             dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
+        # the Kacanov step descends the (exactly consistent) energy, so 40
+        # halvings that all raise it leave no step and the solve stops rather
+        # than go uphill; a shortened step drops the history's last pair
         delta = _field(domain, x) - v
-        # the Kacanov step is a strict descent direction of the (exactly
-        # consistent) energy, so 40 halvings that all raise it leave no step
-        # to take, and the solve stops rather than go uphill; a shortened step
-        # drops the history's last pair
-        theta, overflowed = 1.0, False
-        for halvings in range(41):
-            trial = v + theta * delta
-            pair = _pm_gradients(domain, trial)
-            e_next = energy(trial, problem, config.eta, pair)
-            if e_next <= e_cur + slack:
-                break
-            overflowed |= not np.isfinite(e_next)
-            if halvings == 40:
-                cause = "the law overflowed" if overflowed else "line search failed"
-                raise NoConvergence(
-                    f"{cause} at outer step {it}: 40 halvings of the Kacanov step all raise "
-                    f"the energy {e_cur:.6e} (the last to {e_next:.6e}; p = {params.p:g})",
-                    field=best[2],
-                    report=report,
-                )
-            theta *= 0.5
-            report.backtracks += 1
+        halvings, trial, pair, e_next, overflowed = _safeguard(
+            problem, config.eta, e_cur, (v + 0.5**k * delta for k in range(41)))
+        report.backtracks += halvings
+        if trial is None:
+            cause = "the law overflowed" if overflowed else "line search failed"
+            failure = (f"{cause} at outer step {it}: 40 halvings of the Kacanov step all raise "
+                       f"the energy {e_cur:.6e} (the last to {e_next:.6e}; p = {params.p:g})")
+            break
         if halvings:
             last = None
         v, e_cur = trial, e_next
-    failure = (f"no convergence in {config.max_outer}" if it == config.max_outer
-               else f"no new best residual in {STALL_STEPS}")
-    raise NoConvergence(
-        f"{failure} outer iterations (relative residual {report.final_residual:.3e}, "
-        f"best {best[0]:.3e} at step {best[1]})",
-        field=best[2],
-        report=report,
-    )
+    raise NoConvergence(failure, field=best[2], report=report)
 
 
 def _predicted_start(path: ContinuationPath, j: int, v, v_prev):
