@@ -1,20 +1,20 @@
 """Nonlinear solves of -eta*Lap(v) - div[(mu+|Gv|)^(p-2) Gv] = f.
 
 Outer loop: Kacanov (frozen secant coefficient) iteration, Anderson-
-accelerated under an energy safeguard.  The Kacanov map is x -> g(x) =
+accelerated under one energy safeguard.  The Kacanov map is x -> g(x) =
 K(x)^{-1} b on the free-DOF vectors; with f = g(x) - x, each step keeps the
 last ANDERSON_DEPTH differences dF and dG of f and g (Walker and Ni, SIAM J.
 Numer. Anal. 49, 2011) and tries the candidate g_k - dG gamma, gamma the
-least-squares solution of dF gamma = f_k.  The candidate is the next iterate
-if its energy is finite and at most the current one plus a roundoff slack.
-Otherwise the history is dropped and the step is the plain Kacanov one,
-guarded by a backtracking line search on the energy; a step shortened by it
-drops the history as well, and a step whose 40 halvings all raise the energy
-stops the solve with NoConvergence.  Each iterate's one-sided gradient pair
-is built once, one grid.one_sided_differences pass per axis, for the
-candidate or trial the step tests.  Its law magnitudes |T+-| are taken once
-too: the trial's energy takes them and keeps them on the pair, and the next
-step's coefficient reuses them.
+least-squares solution of dF gamma = f_k.  A step's direction is apart from
+the test that accepts it: _safeguard takes the step's trials in order and
+accepts the first whose energy is at most the current one plus a roundoff
+slack (the current energy is finite, so a NaN or infinite one never passes).
+The candidate goes in as the one trial.  If it fails, the history is dropped
+and the trials are the plain Kacanov step and its 40 halvings; a shortened
+step drops the history as well.  Each trial's one-sided gradient pair is
+built once, one grid.one_sided_differences pass per axis, and so are its law
+magnitudes |T+-|: its energy takes them and keeps them on the pair, and the
+next step's coefficient reuses them.
 On the full law the energy's eta term and the law share the squares |G+-|^2.
 Only the residual and energy histories are recorded per step; norms of the
 solution are the caller's, on the converged field.  Inner loop: one
@@ -25,9 +25,9 @@ it starts from the residual the outer step computed for its own test.
 Each inner solve runs to the relative residual max(min(0.2 r, 0.1),
 0.02 outer_tol), r the outer step's relative residual, with at most
 INNER_MAXITER iterations.  _pcg is the only place an inner solve fails, and it
-fails at once: NonFinite on a NaN, IllConditioned on r.z <= 0 or p.Ap <= 0
-(the preconditioner or the operator lost definiteness) or on reaching that
-cap.  For p >= 2 the preconditioner is one exact inversion of the
+fails at once: NonFinite on a NaN or on an r.z whose products all underflow
+to 0, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner or the
+operator lost definiteness) or on reaching that cap.  For p >= 2 the preconditioner is one exact inversion of the
 constant-coefficient 7-point Laplacian per iteration (poisson module): it is
 exact at p = 2, and at p > 2 a coefficient-scaled one cost more outer
 iterations than it saved inner ones.
@@ -39,14 +39,15 @@ solve that needs more than MULTIGRID_AFTER iterations switches the solve, for
 its remaining outer steps, to one Galerkin V-cycle per iteration (multigrid
 module), built on each step's assembled matrix, whose count does not grow
 with the contrast.  The symmetric law keeps the scaled inversion (the comment
-on MULTIGRID_AFTER says why).  A solve stops with NoConvergence at max_outer
-or once its best residual has not improved for STALL_STEPS outer steps; the
-first time, it drops Anderson for plain steps instead, since on an energy flat
-to roundoff every candidate passes while the residual wanders.  An overflow of
-the forcing norm, the law or the eta term raises NonFinite naming it; an
-inner solve's NonFinite or IllConditioned names its outer step; a candidate
-or trial whose energy overflows is rejected like any other that raises the
-energy.
+on MULTIGRID_AFTER says why).  A solve stops at max_outer, once its best
+residual has not improved for STALL_STEPS outer steps (the first time, it
+drops Anderson for plain steps instead, since on an energy flat to roundoff
+every candidate passes while the residual wanders), or when the Kacanov step
+and all its halvings raise the energy: each leaves the loop to the one raise
+of NoConvergence, with the report and the best iterate.  An overflow of the
+forcing norm, the law or the eta term raises NonFinite naming it, and so does
+an underflow to 0 of the forcing's or the residual's sum of squares; an inner
+solve's NonFinite or IllConditioned names its outer step.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -528,7 +529,8 @@ def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
     that has it already (the outer step's residual) pays no extra product.
 
     Every inner-solve failure is raised here, at once: a non-finite residual
-    norm, r.z or p.Ap raises NonFinite; r.z <= 0 (the preconditioner is not
+    norm, r.z or p.Ap raises NonFinite, and so does r.z = 0 with z nonzero
+    (every product r_i z_i underflowed); r.z <= 0 (the preconditioner is not
     positive definite), p.Ap <= 0 (the operator is not) and reaching maxiter
     raise IllConditioned carrying the best relative residual and the best
     iterate as a full-grid field.
@@ -549,6 +551,8 @@ def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
         # np.sum, not a @ b: on long vectors the latter is BLAS's threaded
         # ddot, whose threads oversubscribe the CPUs of a sweep's workers
         rz_new = _require_finite(float(np.sum(r * z)), "PCG r.z")
+        if rz_new == 0.0 and np.any(z):  # r is nonzero: rn > 0
+            raise NonFinite(f"PCG r.z is 0.0 at iteration {k}: its sum of products underflowed")
         if rz_new <= 0.0:
             failure = f"preconditioner lost definiteness at PCG iteration {k}: r.z = {rz_new:.3e}"
             break
@@ -635,9 +639,10 @@ def solve(
     budget runs out, the best residual has not improved for STALL_STEPS
     outer steps (twice, with Anderson on: the first time it goes on with
     plain steps) or 40 halvings of a step all raise the energy, NonFinite on
-    a NaN or infinite residual or energy, and DegenerateConfig for a config
-    with a continuation path (that is continuation_solve's) or for eta = mu =
-    0 at p != 2 (go through continuation).
+    a NaN or infinite residual or energy or a nonzero residual whose sum of
+    squares underflows, and DegenerateConfig for a config with a continuation
+    path (that is continuation_solve's) or for eta = mu = 0 at p != 2 (go
+    through continuation).
     """
     domain, params = problem.domain, problem.params
     if config.continuation is not None:
@@ -679,7 +684,11 @@ def solve(
         matrix = _frozen_matrix(domain, a_plus, a_minus, config.eta, params.structure)
         x_cur = _free(domain, v)
         r = b - matrix.dot(x_cur)
-        res = _l2(r) / fnorm
+        rnorm = _l2(r)
+        if rnorm == 0.0 and np.any(r):
+            raise NonFinite(f"relative residual is 0.0: its sum of squares underflowed at outer "
+                            f"step {it}")
+        res = rnorm / fnorm
         if not (np.isfinite(res) and np.isfinite(e_cur)):
             what = f"relative residual is {res}" if not np.isfinite(res) else f"energy is {e_cur}"
             # with finite data and a finite iterate, the law's powers overflowed,

@@ -610,6 +610,19 @@ NAMED_FAILURES = [
     ("sweep", "sweep.amplitudes=1e-300 sweep.seeds=1",
      "sweep point index=0 p=1.2 mu=0 amplitude=1e-300 seed=1: forcing norm is 0.0: its sum of "
      "squares underflowed"),
+    # used to write residual 0.0 after one outer step, then end in a JSON
+    # error on the cell's 0/0 spread: exit 1
+    ("sweep", "sweep.amplitudes=1e-160 sweep.seeds=1",
+     "sweep point index=0 p=1.2 mu=0 amplitude=1e-160 seed=1: relative residual is 0.0: its sum "
+     "of squares underflowed at outer step 1"),
+    # the next two used to blame the preconditioner: "preconditioner lost
+    # definiteness at PCG iteration 1: r.z = 0.000e+00"
+    ("sweep", "sweep.amplitudes=1e-155 sweep.seeds=1",
+     "sweep point index=0 p=1.2 mu=0 amplitude=1e-155 seed=1: PCG r.z is 0.0 at iteration 1: its "
+     "sum of products underflowed in the inner solve of outer step 1"),
+    ("solve", "params.p=3 rhs.amplitude=1e-160",
+     "PCG r.z is 0.0 at iteration 1: its sum of products underflowed in the inner solve of outer "
+     "step 1"),
     # ||f||_r ** (1/(p-1)) on a Python float used to raise OverflowError: exit 1
     ("sweep", "sweep.p_values=1.0001 sweep.mu_values=10 sweep.amplitudes=4 sweep.seeds=1",
      "sweep point index=0 p=1.0001 mu=10 amplitude=4 seed=1: the two-term RHS is inf at "

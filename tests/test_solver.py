@@ -297,6 +297,15 @@ def test_pcg_raises_when_the_preconditioner_loses_definiteness():
     with pytest.raises(NonFinite, match="r.z"):
         solver._pcg(dom, a.dot, lambda r: np.full_like(r, np.nan), b, np.zeros_like(b), b,
                     1e-10, 50)
+    # a right-hand side so small that every product r_i z_i underflows, though
+    # its norm does not: r.z is 0 with r and z nonzero, which used to be blamed
+    # on the preconditioner ("lost definiteness ... r.z = 0.000e+00")
+    tiny = 1e-162 * b
+    assert solver._l2(tiny) > 0.0
+    with pytest.raises(NonFinite, match=r"PCG r.z is 0.0 at iteration 1: its sum of products "
+                                        r"underflowed"):
+        solver._pcg(dom, a.dot, solver._preconditioner(dom), tiny, np.zeros_like(b), tiny,
+                    1e-10, 50)
 
 
 def test_an_ill_conditioned_inner_solve_names_its_outer_step():
