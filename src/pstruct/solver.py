@@ -27,10 +27,10 @@ Each inner solve runs to the relative residual max(min(0.2 r, 0.1),
 INNER_MAXITER iterations.  _pcg is the only place an inner solve fails, and it
 fails at once: NonFinite on a NaN or on an r.z whose products all underflow
 to 0, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner or the
-operator lost definiteness) or on reaching that cap.  For p >= 2 the preconditioner is one exact inversion of the
-constant-coefficient 7-point Laplacian per iteration (poisson module): it is
-exact at p = 2, and at p > 2 a coefficient-scaled one cost more outer
-iterations than it saved inner ones.
+operator lost definiteness) or on reaching that cap.  For p >= 2 the
+preconditioner is one exact inversion of the constant-coefficient 7-point
+Laplacian per iteration (poisson module): it is exact at p = 2, and at p > 2
+a coefficient-scaled one cost more outer iterations than it saved inner ones.
 For p < 2 the secant coefficient is unbounded as |Gv| -> 0.  Each solve
 starts with the inversion scaled symmetrically by it, s P^{-1}(s r) with
 s = c^{-1/2} and c = eta + (a+ + a-)/2 per free node.  Its iteration count
@@ -46,8 +46,9 @@ every candidate passes while the residual wanders), or when the Kacanov step
 and all its halvings raise the energy: each leaves the loop to the one raise
 of NoConvergence, with the report and the best iterate.  An overflow of the
 forcing norm, the law or the eta term raises NonFinite naming it, and so does
-an underflow to 0 of the forcing's or the residual's sum of squares; an inner
-solve's NonFinite or IllConditioned names its outer step.
+an underflow to 0 of the forcing's sum of squares, or of the residual's short
+of convergence (a residual at roundoff is measured scaled and converges); an
+inner solve's NonFinite or IllConditioned names its outer step.
 
 The discretization is variational: the energy sums Phi(|Gv|) over nodes with
 the gradient realised twice, once with forward and once with backward
@@ -639,10 +640,10 @@ def solve(
     budget runs out, the best residual has not improved for STALL_STEPS
     outer steps (twice, with Anderson on: the first time it goes on with
     plain steps) or 40 halvings of a step all raise the energy, NonFinite on
-    a NaN or infinite residual or energy or a nonzero residual whose sum of
-    squares underflows, and DegenerateConfig for a config with a continuation
-    path (that is continuation_solve's) or for eta = mu = 0 at p != 2 (go
-    through continuation).
+    a NaN or infinite residual or energy or a residual above outer_tol whose
+    sum of squares underflows, and DegenerateConfig for a config with a
+    continuation path (that is continuation_solve's) or for eta = mu = 0 at
+    p != 2 (go through continuation).
     """
     domain, params = problem.domain, problem.params
     if config.continuation is not None:
@@ -684,11 +685,16 @@ def solve(
         matrix = _frozen_matrix(domain, a_plus, a_minus, config.eta, params.structure)
         x_cur = _free(domain, v)
         r = b - matrix.dot(x_cur)
-        rnorm = _l2(r)
-        if rnorm == 0.0 and np.any(r):
-            raise NonFinite(f"relative residual is 0.0: its sum of squares underflowed at outer "
-                            f"step {it}")
-        res = rnorm / fnorm
+        res = _l2(r) / fnorm
+        if res == 0.0 and np.any(r):
+            # the squares underflowed: a solution at roundoff stops here with the
+            # norm of r scaled by its largest entry; any other would run its
+            # inner solves on norms that underflow too
+            top = np.max(np.abs(r))
+            res = _l2(r / top) * top / fnorm
+            if res > config.outer_tol:
+                raise NonFinite(f"relative residual is {res:.3e}, but its sum of squares "
+                                f"underflowed at outer step {it}")
         if not (np.isfinite(res) and np.isfinite(e_cur)):
             what = f"relative residual is {res}" if not np.isfinite(res) else f"energy is {e_cur}"
             # with finite data and a finite iterate, the law's powers overflowed,

@@ -308,6 +308,25 @@ def test_pcg_raises_when_the_preconditioner_loses_definiteness():
                     1e-10, 50)
 
 
+def test_a_solution_at_roundoff_converges_though_its_residual_squares_underflow():
+    # at amplitude 1e-150 the residual's entries are about 1e-166 and their
+    # squares underflow; the solve measures it scaled and converges on the
+    # 1e-100 solution scaled down, instead of reading a residual of 0.0
+    # (p = 2) or raising (p = 3); a wrong solution there raises NonFinite
+    dom = grid.build_domain("dirichlet_box", 8)
+    for p in (2.0, 3.0):
+        ref = make_problem(dom, p, 0.1)
+        solutions = []
+        for amplitude in (1e-100, 1e-150):
+            problem = problems.ProblemSpec(dom, ref.params, f=amplitude * ref.f)
+            v, report = solver.solve(problem, solver.SolveConfig())
+            assert report.converged and 0.0 < report.final_residual <= 1e-9
+            solutions.append(v / amplitude)
+        assert np.max(np.abs(solutions[1] - solutions[0])) <= 1e-12 * np.max(np.abs(solutions[0]))
+    with pytest.raises(NonFinite, match="but its sum of squares underflowed at outer step 1"):
+        solver.solve(problems.ProblemSpec(dom, ref.params, f=1e-158 * ref.f), solver.SolveConfig())
+
+
 def test_an_ill_conditioned_inner_solve_names_its_outer_step():
     # at p = 1e6 the law's coefficients underflow to 0, so the first inner
     # solve finds p.Ap = 0; the error used to name no outer step
