@@ -8,7 +8,7 @@ Numer. Anal. 49, 2011) and tries the candidate g_k - dG gamma, gamma the
 least-squares solution of dF gamma = f_k.  A step's direction is apart from
 the test that accepts it: _safeguard takes the step's trials in order and
 accepts the first whose energy is at most the current one plus a roundoff
-slack (the current energy is finite, so a NaN or infinite one never passes).
+slack (the current energy is finite, so a NaN or +inf one never passes).
 The candidate goes in as the one trial.  If it fails, the history is dropped
 and the trials are the plain Kacanov step and its 40 halvings; a shortened
 step drops the history as well.  Each trial's one-sided gradient pair is
@@ -616,8 +616,8 @@ def energy(v: np.ndarray, problem: ProblemSpec, eta: float, pair=None) -> float:
 def _safeguard(problem: ProblemSpec, eta: float, e_cur: float, trials):
     """An outer step's one energy test: (k, trial, pair, energy, False) of the
     first of trials (full-grid fields, built as tried) whose energy is at most
-    the finite e_cur plus a roundoff slack, or (k, None, None, energy) of the
-    last and whether any trial's energy was NaN or infinite."""
+    the finite e_cur plus a roundoff slack, else (k, None, None, energy,
+    overflowed) of the last, overflowed whether any energy was NaN or infinite."""
     slack, overflowed = 1e-12 * (1.0 + abs(e_cur)), False
     for k, trial in enumerate(trials):
         pair = _pm_gradients(problem.domain, trial)
