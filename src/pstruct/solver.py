@@ -676,7 +676,7 @@ def solve(
     e_cur = energy(v, problem, config.eta, pair)
     use_multigrid = False
     best = (np.inf, 0, v)  # relative residual, step and iterate
-    depth, plain_from = ANDERSON_DEPTH, 0  # plain steps only from step plain_from on
+    anderson, plain_from = ANDERSON_DEPTH > 0, 0  # candidates until plain steps, from plain_from
     # Anderson differences of f and g, their Gram matrix and the last (f, g)
     dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
     for it in range(config.max_outer + 1):
@@ -720,9 +720,8 @@ def solve(
         if res < best[0]:
             best = (res, it, v)
         stalled = it - max(best[1], plain_from) >= STALL_STEPS
-        if stalled and depth:  # with Anderson on: go on with plain steps (module docstring)
-            depth, plain_from, stalled = 0, it, False
-            dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
+        if stalled and anderson:  # with Anderson on: go on with plain steps (module docstring)
+            anderson, plain_from, stalled = False, it, False
         if it == config.max_outer or stalled:
             failure = (f"no convergence in {config.max_outer}" if it == config.max_outer
                        else f"no new best residual in {STALL_STEPS}")
@@ -740,11 +739,8 @@ def solve(
         try:
             x, inner_it = _pcg(domain, matrix.dot, precondition, b, x_cur, r, inner_rtol,
                                INNER_MAXITER)
-        except NonFinite as exc:
-            raise NonFinite(f"{exc} in the inner solve of outer step {it}") from exc
-        except IllConditioned as exc:
-            raise IllConditioned(f"{exc} in the inner solve of outer step {it}",
-                                 achieved=exc.achieved, field=exc.field) from exc
+        except (NonFinite, IllConditioned) as exc:  # the same error, with its attributes
+            raise type(exc)(f"{exc} in the inner solve of outer step {it}", **vars(exc)) from exc
         report.inner_iterations += inner_it
         use_multigrid |= (params.p < 2.0 and params.structure == "full"
                           and inner_it > MULTIGRID_AFTER)
@@ -757,37 +753,36 @@ def solve(
             dgs.append(x - last[1])
             gram = np.pad(gram, (0, 1))
             gram[-1] = gram[:, -1] = [np.sum(d * dfs[-1]) for d in dfs]
-            if len(dfs) > depth:
+            if len(dfs) > ANDERSON_DEPTH:
                 del dfs[0], dgs[0]
                 gram = gram[1:, 1:]
         last = (fk, x)
-        if dfs:
-            gamma = np.linalg.lstsq(gram, [np.sum(d * fk) for d in dfs], rcond=1e-12)[0]
-            candidate = x.copy()
-            for gj, dg in zip(gamma, dgs):
-                candidate -= gj * dg
-            _, trial, pair, e_next, _ = _safeguard(problem, config.eta, e_cur,
-                                                   [_field(domain, candidate)])
-            if trial is not None:
-                report.accelerated += 1
-                v, e_cur = trial, e_next
-                continue
-            report.restarts += 1
-            dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
-        # the Kacanov step descends the (exactly consistent) energy, so 40
-        # halvings that all raise it leave no step and the solve stops rather
-        # than go uphill; a shortened step drops the history's last pair
-        delta = _field(domain, x) - v
-        halvings, trial, pair, e_next, overflowed = _safeguard(
-            problem, config.eta, e_cur, (v + 0.5**k * delta for k in range(41)))
-        report.backtracks += halvings
+        led = anderson and bool(dfs)  # the candidate leads the step's trials
+
+        def trials():  # built as tried, so an accepted candidate builds no Kacanov field
+            if led:
+                gamma = np.linalg.lstsq(gram, [np.sum(d * fk) for d in dfs], rcond=1e-12)[0]
+                candidate = x.copy()
+                for gj, dg in zip(gamma, dgs):
+                    candidate -= gj * dg
+                yield _field(domain, candidate)
+            delta = _field(domain, x) - v
+            for j in range(41):
+                yield v + 0.5**j * delta
+
+        # the Kacanov step descends the (exactly consistent) energy, so if it and its 40
+        # halvings all raise it, the solve stops rather than go uphill
+        k, trial, pair, e_next, overflowed = _safeguard(problem, config.eta, e_cur, trials())
+        report.accelerated += led and k == 0
+        report.restarts += led and k > 0
+        report.backtracks += max(k - led, 0)  # each Kacanov trial after the first
         if trial is None:
             cause = "the law overflowed" if overflowed else "line search failed"
             failure = (f"{cause} at outer step {it}: 40 halvings of the Kacanov step all raise "
                        f"the energy {e_cur:.6e} (the last to {e_next:.6e}; p = {params.p:g})")
             break
-        if halvings:
-            last = None
+        if k:  # a rejected candidate or a shortened step drops the history
+            dfs, dgs, gram, last = [], [], np.zeros((0, 0)), None
         v, e_cur = trial, e_next
     raise NoConvergence(failure, field=best[2], report=report)
 
