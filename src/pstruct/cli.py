@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from . import audit as audit_mod
 from . import grid as g
 from . import reconstruct as reconstruct_mod
@@ -285,17 +286,11 @@ def _manifest(outdir: Path, command: str, config: dict, wall: float) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "pstruct": _package_version(),
+            "pstruct": __version__,
         },
         "wall_time_s": wall,
     }
     _write_json(outdir / "manifest.json", payload)
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def _build_domain_checked(config: dict):

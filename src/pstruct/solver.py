@@ -6,15 +6,16 @@ K(x)^{-1} b on the free-DOF vectors; with f = g(x) - x, each step keeps the
 last ANDERSON_DEPTH differences dF and dG of f and g (Walker and Ni, SIAM J.
 Numer. Anal. 49, 2011) and tries the candidate g_k - dG gamma, gamma the
 least-squares solution of dF gamma = f_k.  A step's direction is apart from
-the test that accepts it: _safeguard takes the step's trials in order and
-accepts the first whose energy is at most the current one plus a roundoff
-slack (the current energy is finite, so a NaN or +inf one never passes).
-The candidate goes in as the one trial.  If it fails, the history is dropped
-and the trials are the plain Kacanov step and its 40 halvings; a shortened
-step drops the history as well.  Each trial's one-sided gradient pair is
-built once, one grid.one_sided_differences pass per axis, and so are its law
-magnitudes |T+-|: its energy takes them and keeps them on the pair, and the
-next step's coefficient reuses them.
+the test that accepts it: each step passes one list of trials, built as
+tried, to one call of _safeguard, which accepts the first whose energy is at
+most the current one plus a roundoff slack (the current energy is finite, so
+a NaN or +inf one never passes).  The list is the candidate, while a history
+exists and plain steps have not started, then the plain Kacanov step and its
+40 halvings.  The accepted index gives the step's counts, and past 0 (a
+rejected candidate or a shortened step) it drops the history.  Each trial's
+one-sided gradient pair is built once, one grid.one_sided_differences pass
+per axis, and so are its law magnitudes |T+-|: its energy takes them and
+keeps them on the pair, and the next step's coefficient reuses them.
 On the full law the energy's eta term and the law share the squares |G+-|^2.
 Only the residual and energy histories are recorded per step; norms of the
 solution are the caller's, on the converged field.  Inner loop: one
@@ -25,8 +26,8 @@ it starts from the residual the outer step computed for its own test.
 Each inner solve runs to the relative residual max(min(0.2 r, 0.1),
 0.02 outer_tol), r the outer step's relative residual, with at most
 INNER_MAXITER iterations.  _pcg is the only place an inner solve fails, and it
-fails at once: NonFinite on a NaN or on an r.z whose products all underflow
-to 0, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner or the
+fails at once: NonFinite on a NaN or on an r.z or p.Ap whose products all
+underflow to 0, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner or the
 operator lost definiteness) or on reaching that cap.  For p >= 2 the
 preconditioner is one exact inversion of the constant-coefficient 7-point
 Laplacian per iteration (poisson module): it is exact at p = 2, and at p > 2
@@ -41,7 +42,7 @@ module), built on each step's assembled matrix, whose count does not grow
 with the contrast.  The symmetric law keeps the scaled inversion (the comment
 on MULTIGRID_AFTER says why).  A solve stops at max_outer, once its best
 residual has not improved for STALL_STEPS outer steps (the first time, it
-drops Anderson for plain steps instead, since on an energy flat to roundoff
+stops offering the candidate instead, since on an energy flat to roundoff
 every candidate passes while the residual wanders), or when the Kacanov step
 and all its halvings raise the energy: each leaves the loop to the one raise
 of NoConvergence, with the report and the best iterate.  An overflow of the
@@ -530,11 +531,11 @@ def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
     that has it already (the outer step's residual) pays no extra product.
 
     Every inner-solve failure is raised here, at once: a non-finite residual
-    norm, r.z or p.Ap raises NonFinite, and so does r.z = 0 with z nonzero
-    (every product r_i z_i underflowed); r.z <= 0 (the preconditioner is not
-    positive definite), p.Ap <= 0 (the operator is not) and reaching maxiter
-    raise IllConditioned carrying the best relative residual and the best
-    iterate as a full-grid field.
+    norm, r.z or p.Ap raises NonFinite, and so does r.z = 0 with z nonzero or
+    p.Ap = 0 with Ap nonzero (every product underflowed); r.z <= 0 (the
+    preconditioner is not positive definite), p.Ap <= 0 (the operator is not)
+    and reaching maxiter raise IllConditioned carrying the best relative
+    residual and the best iterate as a full-grid field.
     """
     bnorm = _l2(b)
     if bnorm == 0.0:
@@ -561,6 +562,8 @@ def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
         rz = rz_new
         ap = apply_a(p)
         denom = _require_finite(float(np.sum(p * ap)), "PCG p.Ap")
+        if denom == 0.0 and np.any(ap):  # p is nonzero: r.z > 0
+            raise NonFinite(f"PCG p.Ap is 0.0 at iteration {k}: its sum of products underflowed")
         if denom <= 0.0:
             failure = f"loss of definiteness at PCG iteration {k}: p.Ap = {denom:.3e}"
             break
@@ -617,7 +620,8 @@ def _safeguard(problem: ProblemSpec, eta: float, e_cur: float, trials):
     """An outer step's one energy test: (k, trial, pair, energy, False) of the
     first of trials (full-grid fields, built as tried) whose energy is at most
     the finite e_cur plus a roundoff slack, else (k, None, None, energy,
-    overflowed) of the last, overflowed whether any energy was NaN or infinite."""
+    overflowed) of the last, overflowed whether any energy was NaN or infinite.
+    solve calls it once per outer step, and k gives that step's counts."""
     slack, overflowed = 1e-12 * (1.0 + abs(e_cur)), False
     for k, trial in enumerate(trials):
         pair = _pm_gradients(problem.domain, trial)

@@ -622,6 +622,11 @@ NAMED_FAILURES = [
     ("solve", "params.p=3 rhs.amplitude=1e-160",
      "PCG r.z is 0.0 at iteration 1: its sum of products underflowed in the inner solve of outer "
      "step 1"),
+    # used to blame the operator: "loss of definiteness at PCG iteration 1:
+    # p.Ap = 0.000e+00", although Ap is nonzero
+    ("solve", "params.p=3 rhs.amplitude=1e-161",
+     "PCG p.Ap is 0.0 at iteration 1: its sum of products underflowed in the inner solve of "
+     "outer step 0"),
     # ||f||_r ** (1/(p-1)) on a Python float used to raise OverflowError: exit 1
     ("sweep", "sweep.p_values=1.0001 sweep.mu_values=10 sweep.amplitudes=4 sweep.seeds=1",
      "sweep point index=0 p=1.0001 mu=10 amplitude=4 seed=1: the two-term RHS is inf at "

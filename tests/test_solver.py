@@ -799,26 +799,41 @@ def test_a_pair_s_magnitudes_are_never_reused_under_the_other_law(monkeypatch):
     assert len(calls) == 8
 
 
-def test_exhausted_line_search_raises(monkeypatch):
-    # every trial is rejected: after 40 halvings the solve stops, naming the
-    # step, both energies and p, with the start as its best iterate, and
-    # takes no uphill step
+# (inner solves before every trial is rejected, the failing step's count of
+# restarts, of accepted candidates and of trials): at step 2 a candidate
+# leads the list, so its 42 trials are the rejected candidate and the 41
+# Kacanov trials
+@pytest.mark.parametrize("rejected_from, restarts, accelerated, last_trials",
+                         [(1, 0, 0, 41), (3, 1, 1, 42)], ids=["plain", "candidate"])
+def test_exhausted_line_search_raises(monkeypatch, rejected_from, restarts, accelerated,
+                                      last_trials):
+    # every trial from inner solve rejected_from on is rejected: after 40
+    # halvings the solve stops, naming the step, both energies and p, with
+    # the last iterate as its best, and takes no uphill step
     dom = grid.build_domain("dirichlet_box", 8)
     prob = make_problem(dom, 1.5, 0.1)
-    energy, trials = solver.energy, []
+    energy, pcg, trials = solver.energy, solver._pcg, [[]]  # per step; [0] is the start
+
+    def counting_pcg(*args):
+        trials.append([])
+        return pcg(*args)
 
     def rejecting_energy(v, *args):
-        trials.append(v)
-        return energy(v, *args) + (1.0 if len(trials) > 1 else 0.0)
+        trials[-1].append(v)
+        return energy(v, *args) + (1.0 if len(trials) > rejected_from else 0.0)
 
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
     monkeypatch.setattr(solver, "energy", rejecting_energy)
-    with pytest.raises(NoConvergence, match=r"line search failed at outer step 0: 40 halvings "
-                       r"of the Kacanov step all raise the energy -?\d\.\d{6}e[+-]\d+ "
-                       r"\(the last to -?\d\.\d{6}e[+-]\d+; p = 1.5\)") as exc:
+    step = rejected_from - 1
+    with pytest.raises(NoConvergence, match=rf"line search failed at outer step {step}: 40 "
+                       r"halvings of the Kacanov step all raise the energy "
+                       r"-?\d\.\d{6}e[+-]\d+ \(the last to -?\d\.\d{6}e[+-]\d+; p = 1.5\)") as exc:
         solver.solve(prob, solver.SolveConfig(eta=1e-3, max_outer=5))
-    assert exc.value.report.backtracks == 40
-    assert exc.value.report.iterations == 0
-    assert len(trials) == 1 + 41 and exc.value.field is trials[0]
+    report = exc.value.report
+    assert report.backtracks == 40 and report.iterations == step
+    assert (report.restarts, report.accelerated) == (restarts, accelerated)
+    assert len(trials) == 1 + rejected_from and len(trials[-1]) == last_trials
+    assert exc.value.field is trials[-2][-1]
 
 
 def test_solve_refuses_a_continuation_path():
@@ -834,17 +849,27 @@ def test_solve_refuses_a_continuation_path():
 def test_rejected_candidate_takes_the_kacanov_step_and_clears_the_history(monkeypatch):
     # the first Anderson candidate, on the second outer step, is penalised:
     # that step falls back to the full Kacanov step, the next step has no
-    # history and so no candidate, and the one after has a candidate again
+    # history and so no candidate, and the one after has a candidate again.
+    # The trials are built as tried: a step whose candidate passes makes no
+    # field of its inner solve's answer x, which only the Kacanov trials need
     dom = grid.build_domain("dirichlet_box", 12)
     prob = make_problem(dom, 1.5, 0.1)
-    pcg, energy = solver._pcg, solver.energy
-    images, trials = [], []  # each inner solve's field; each step's trials
+    pcg, energy, field = solver._pcg, solver.energy, solver._field
+    # each inner solve's answer and field; each step's trials and fields of x
+    answers, images, trials, fields = [], [], [], []
 
     def recording_pcg(*args):
         x, k = pcg(*args)
-        images.append(solver._field(dom, x))
+        answers.append(x)
+        images.append(field(dom, x))
         trials.append([])
+        fields.append(0)
         return x, k
+
+    def counting_field(domain, x):
+        if answers and x is answers[-1]:
+            fields[-1] += 1
+        return field(domain, x)
 
     def penalising_energy(v, *args):
         if trials:
@@ -853,6 +878,7 @@ def test_rejected_candidate_takes_the_kacanov_step_and_clears_the_history(monkey
 
     monkeypatch.setattr(solver, "_pcg", recording_pcg)
     monkeypatch.setattr(solver, "energy", penalising_energy)
+    monkeypatch.setattr(solver, "_field", counting_field)
     v, report = solver.solve(prob, solver.SolveConfig(eta=1e-3, outer_tol=1e-10))
     assert report.converged and report.restarts == 1 and report.backtracks == 0
 
@@ -866,6 +892,7 @@ def test_rejected_candidate_takes_the_kacanov_step_and_clears_the_history(monkey
     # is its last one
     assert report.accelerated == report.iterations - 3
     assert all(len(t) == 1 for t in trials[2:])
+    assert fields == [1, 1, 1] + [0] * report.accelerated
     f = prob.forcing()
     r = solver.residual(dom, prob.params, 1e-3, v, f)
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f)
