@@ -27,8 +27,8 @@ Each inner solve runs to the relative residual max(min(0.2 r, 0.1),
 0.02 outer_tol), r the outer step's relative residual, with at most
 INNER_MAXITER iterations.  _pcg is the only place an inner solve fails, and it
 fails at once: NonFinite on a NaN or on an r.z or p.Ap whose products all
-underflow to 0, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner or the
-operator lost definiteness) or on reaching that cap.  For p >= 2 the
+underflow to 0, IllConditioned on r.z <= 0 or p.Ap <= 0 (the preconditioner
+or the operator lost definiteness) or on reaching that cap.  For p >= 2 the
 preconditioner is one exact inversion of the constant-coefficient 7-point
 Laplacian per iteration (poisson module): it is exact at p = 2, and at p > 2
 a coefficient-scaled one cost more outer iterations than it saved inner ones.
