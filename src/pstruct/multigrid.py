@@ -75,30 +75,12 @@ def _interpolation_1d(fine: np.ndarray, coarse: np.ndarray, period) -> sp.csr_ma
 
     Node positions are fine-grid indices.  A wall axis lists both walls,
     which hold no unknowns; a periodic axis lists one period and period is
-    its length.
+    its length.  Column c interpolates the unit vector at coarse node c, and
+    the walls hold 0.
     """
-    if period is None:
-        free_fine, cols = fine[1:-1], coarse
-    else:
-        free_fine, cols = fine, np.append(coarse, coarse[0] + period)
-    right = np.searchsorted(cols, free_fine)  # the first coarse node at or after
-    on_node = cols[right] == free_fine
-    left = np.where(on_node, right, right - 1)
-    width = np.maximum(cols[right] - cols[left], 1)
-    w_right = np.where(on_node, 0.0, (free_fine - cols[left]) / width)
-    rows = np.arange(free_fine.size)
-    data = np.concatenate((1.0 - w_right, w_right))
-    r = np.concatenate((rows, rows))
-    c = np.concatenate((left, right))
-    if period is None:
-        c = c - 1  # column 0 is the first wall
-        keep = (c >= 0) & (c < coarse.size - 2) & (data != 0.0)
-        ncols = coarse.size - 2
-    else:
-        c = c % coarse.size
-        keep = data != 0.0
-        ncols = coarse.size
-    return sp.csr_matrix((data[keep], (r[keep], c[keep])), shape=(free_fine.size, ncols))
+    rows, cols = (fine[1:-1], coarse[1:-1]) if period is None else (fine, coarse)
+    return sp.csr_matrix(np.stack(
+        [np.interp(rows, coarse, coarse == c, period=period) for c in cols], axis=1))
 
 
 @lru_cache(maxsize=4)
