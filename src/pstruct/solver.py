@@ -529,6 +529,7 @@ def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
     """Preconditioned CG on free-DOF vectors to relative residual rtol;
     returns (x, iterations).  r0 is the caller's b - apply_a(x0), so a caller
     that has it already (the outer step's residual) pays no extra product.
+    b is nonzero and r0 misses the target, as in solve's one call.
 
     Every inner-solve failure is raised here, at once: a non-finite residual
     norm, r.z or p.Ap raises NonFinite, and so does r.z = 0 with z nonzero or
@@ -538,13 +539,9 @@ def _pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
     residual and the best iterate as a full-grid field.
     """
     bnorm = _l2(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
     x = x0.copy()
     r = r0.copy()
     rn = _require_finite(_l2(r), "PCG residual norm")
-    if rn <= rtol * bnorm:
-        return x, 0
     best = (rn, x.copy())
     failure = f"inner solve cap {maxiter} reached (target {rtol:.3e})"
     p = None
@@ -695,7 +692,7 @@ def solve(
             # norm of r scaled by its largest entry; any other would run its
             # inner solves on norms that underflow too
             top = np.max(np.abs(r))
-            res = _l2(r / top) * top / fnorm
+            res = float(_l2(r / top) * top / fnorm)
             if res > config.outer_tol:
                 raise NonFinite(f"relative residual is {res:.3e}, but its sum of squares "
                                 f"underflowed at outer step {it}")

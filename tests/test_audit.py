@@ -208,6 +208,15 @@ def test_verify_estimate_off_hypothesis_is_informational():
     assert out["verdict"] == "informational"
 
 
+def test_coverage_reasons_name_each_missed_hypothesis():
+    assert audit._coverage_reasons("p_gt_2_W22", 2.5, (0.0, 1.0), "full", "dirichlet_box",
+                                   2.0) == ["stated for the symmetric-gradient law",
+                                            "stated on the periodic slab domain",
+                                            "needs mu > 0"]
+    assert audit._coverage_reasons("p_lt_2_W2q", 2.5, (0.0,), "full", "dirichlet_box",
+                                   1.5) == ["needs 1 < p < 2, got p=2.5", "needs q >= 2, got q=1.5"]
+
+
 # ---------------------------------------------------------------- tangential energy
 
 
@@ -265,6 +274,25 @@ def test_holder_is_positively_homogeneous():
     one = audit.holder_seminorm(dom, gr, 0.25, seed=1)
     two = audit.holder_seminorm(dom, 2.0 * gr, 0.25, seed=1)
     assert two == pytest.approx(2.0 * one, rel=1e-14)
+
+
+def test_holder_distances_take_the_minimal_image_on_periodic_axes():
+    # a ramp in x jumps across the slab's seam, so pairs across it are the
+    # steepest only when measured by their minimal image; the reference
+    # redraws the same seeded pairs and takes the shorter way round
+    dom = build_domain("cubic_periodic", 8)
+    gr = np.zeros((3, 3) + dom.shape)
+    gr[0, 0] = dom.meshgrid()[0]
+    rng = np.random.default_rng(5)
+    ia = [rng.integers(0, s, size=audit.HOLDER_PAIRS) for s in dom.shape]
+    ib = [rng.integers(0, s, size=audit.HOLDER_PAIRS) for s in dom.shape]
+    steps = [np.abs(a - b) for a, b in zip(ia, ib)]
+    steps = [np.minimum(s, dom.n - s) if dom.is_periodic(ax) else s for ax, s in enumerate(steps)]
+    dist = dom.h * np.sqrt(sum(s * s for s in steps))
+    keep = dist >= 2.0 * dom.h - 1e-12
+    jump = np.abs(gr[0, 0][tuple(ia)] - gr[0, 0][tuple(ib)])
+    want = np.max(jump[keep] / dist[keep] ** 0.25)
+    assert audit.holder_seminorm(dom, gr, 0.25, seed=5) == pytest.approx(want, rel=1e-14)
 
 
 def test_holder_stable_under_refinement():

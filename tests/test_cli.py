@@ -582,6 +582,7 @@ def test_reconstruct_command(tmp_path):
             "--set", "params.mu=1.0",
             "--set", "params.structure=symmetric",
             "--set", "solver.outer_tol=1e-10",
+            "--set", "output.formats=json,csv,fields",
         ),
     )
     assert code == 0
@@ -589,6 +590,11 @@ def test_reconstruct_command(tmp_path):
     assert 0.0 < report["ratio_max"] < 1.0
     assert report["residual_rel"] < 1e-6
     assert report["reconstruction_rel_l2"] < 1.0
+    dom, ratio = load_field(out / "fields" / "ratio.bin")
+    assert ratio.shape == dom.shape
+    assert ratio.max() == report["ratio_max"]  # the ratio field is 0 off the interior
+    _, solution = load_field(out / "fields" / "solution.bin")
+    assert solution.shape == (3,) + dom.shape
 
 
 NAMED_FAILURES = [
@@ -756,6 +762,24 @@ def test_sweep_report_and_csv_reingestion(tmp_path):
     # full-precision floats: re-aggregating the CSV reproduces the report
     # summary exactly, not approximately
     assert cli.aggregate_sweep(rows) == report["summary"]
+
+
+def test_residuals_measured_scaled_are_written_as_plain_numbers(tmp_path):
+    # at amplitude 1e-150 the residual's squares underflow and the solver
+    # measures it scaled; its cells used to read np.float64(...)
+    out = tmp_path / "out"
+    amplitude = ("--set", "rhs.amplitude=1e-150", "--set", "params.p=3")
+    assert run_cli("solve", *base_args(tmp_path, *amplitude)) == 0
+    with open(out / "tables" / "solve_history.csv", newline="", encoding="ascii") as fh:
+        history = list(csv.DictReader(fh))
+    assert [float(rec["residual"]) for rec in history] \
+        == json.loads((out / "report.json").read_text())["result"]["residual_history"]
+    assert run_cli("sweep", *base_args(tmp_path, "--set", "sweep.p_values=2,3",
+                                       "--set", "sweep.mu_values=0.1", "--set",
+                                       "sweep.amplitudes=1e-150", "--set", "sweep.seeds=1")) == 0
+    rows = read_sweep_csv(out / "tables" / "sweep.csv")
+    assert all(0.0 < r["residual"] <= 1e-9 for r in rows)
+    assert cli.aggregate_sweep(rows) == json.loads((out / "report.json").read_text())["summary"]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -249,6 +249,11 @@ def test_norm_sobolev_levels():
     assert l2 < w12 < w22
     gn = g.norm(dom, g.gradient(dom, u), q=2.0)
     assert abs(w12 - (l2**2 + gn**2) ** 0.5) < 1e-12
+    # at q = inf the levels combine as the max of their parts' max norms
+    parts = [g.norm(dom, u, q=np.inf), g.norm(dom, g.gradient(dom, u), q=np.inf),
+             g.norm(dom, g.second_derivatives(dom, u), q=np.inf)]
+    assert g.norm(dom, u, q=np.inf, sobolev_level=1) == max(parts[:2])
+    assert g.norm(dom, u, q=np.inf, sobolev_level=2) == max(parts)
 
 
 def test_norm_second_deriv_interior_only():

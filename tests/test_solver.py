@@ -321,6 +321,7 @@ def test_a_solution_at_roundoff_converges_though_its_residual_squares_underflow(
             problem = problems.ProblemSpec(dom, ref.params, f=amplitude * ref.f)
             v, report = solver.solve(problem, solver.SolveConfig())
             assert report.converged and 0.0 < report.final_residual <= 1e-9
+            assert type(report.final_residual) is float  # a CSV cell reads as a number
             solutions.append(v / amplitude)
         assert np.max(np.abs(solutions[1] - solutions[0])) <= 1e-12 * np.max(np.abs(solutions[0]))
     with pytest.raises(NonFinite, match="but its sum of squares underflowed at outer step 1"):
