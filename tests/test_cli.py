@@ -768,18 +768,20 @@ def test_residuals_measured_scaled_are_written_as_plain_numbers(tmp_path):
     # at amplitude 1e-150 the residual's squares underflow and the solver
     # measures it scaled; its cells used to read np.float64(...)
     out = tmp_path / "out"
-    amplitude = ("--set", "rhs.amplitude=1e-150", "--set", "params.p=3")
-    assert run_cli("solve", *base_args(tmp_path, *amplitude)) == 0
+    assert run_cli("solve", *base_args(tmp_path, "--set", "params.p=3",
+                                       "--set", "rhs.amplitude=1e-150")) == 0
+    report = json.loads((out / "report.json").read_text())
     with open(out / "tables" / "solve_history.csv", newline="", encoding="ascii") as fh:
-        history = list(csv.DictReader(fh))
-    assert [float(rec["residual"]) for rec in history] \
-        == json.loads((out / "report.json").read_text())["result"]["residual_history"]
+        residuals = [float(rec["residual"]) for rec in csv.DictReader(fh)]
+    assert residuals == report["result"]["residual_history"]
     assert run_cli("sweep", *base_args(tmp_path, "--set", "sweep.p_values=2,3",
-                                       "--set", "sweep.mu_values=0.1", "--set",
-                                       "sweep.amplitudes=1e-150", "--set", "sweep.seeds=1")) == 0
+                                       "--set", "sweep.mu_values=0.1",
+                                       "--set", "sweep.amplitudes=1e-150",
+                                       "--set", "sweep.seeds=1")) == 0
+    report = json.loads((out / "report.json").read_text())
     rows = read_sweep_csv(out / "tables" / "sweep.csv")
     assert all(0.0 < r["residual"] <= 1e-9 for r in rows)
-    assert cli.aggregate_sweep(rows) == json.loads((out / "report.json").read_text())["summary"]
+    assert cli.aggregate_sweep(rows) == report["summary"]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
