@@ -483,8 +483,8 @@ def test_continuation_report_sums_the_path(tmp_path, monkeypatch):
     steps = []
     solve = cli.solver.solve
 
-    def recording_solve(problem, config, initial=None):
-        v, rep = solve(problem, config, initial)
+    def recording_solve(problem, config, initial=None, **kwargs):
+        v, rep = solve(problem, config, initial, **kwargs)
         steps.append(rep)
         return v, rep
 

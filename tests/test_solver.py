@@ -1107,9 +1107,9 @@ def test_continuation_starts_steps_from_the_secant_predictor(monkeypatch):
     path = solver.ContinuationPath.geometric(eta0=1e-2, mu0=0.0, eta_floor=2.5e-3)
     solve, starts, fields = solver.solve, [], []
 
-    def recording_solve(problem, config, initial=None):
+    def recording_solve(problem, config, initial=None, **kwargs):
         starts.append(initial)
-        v, report = solve(problem, config, initial)
+        v, report = solve(problem, config, initial, **kwargs)
         fields.append(v)
         return v, report
 
@@ -1198,8 +1198,8 @@ def _short_p14_path(monkeypatch, preconditioner):
     def plain_pcg(domain, apply_a, precondition, b, x0, r0, rtol, maxiter):
         return pcg(domain, apply_a, solver._preconditioner(domain), b, x0, r0, rtol, maxiter)
 
-    def recording_solve(problem, config, initial=None):
-        v, report = solve(problem, config, initial)
+    def recording_solve(problem, config, initial=None, **kwargs):
+        v, report = solve(problem, config, initial, **kwargs)
         steps.append((problem, config.eta, v, report))
         return v, report
 
