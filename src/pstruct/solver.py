@@ -39,13 +39,15 @@ still grows with the coefficient contrast, so on the full law the first inner
 solve that needs more than MULTIGRID_AFTER iterations switches the solve, for
 its remaining outer steps, to one Galerkin V-cycle per iteration (multigrid
 module), built on each step's assembled matrix, whose count does not grow
-with the contrast.  The symmetric law keeps the scaled inversion (the comment
-on MULTIGRID_AFTER says why).  A solve stops at max_outer, once its best
-residual has not improved for STALL_STEPS outer steps (the first time, it
-stops offering the candidate instead, since on an energy flat to roundoff
-every candidate passes while the residual wanders), or when the Kacanov step
-and all its halvings raise the energy: each leaves the loop to the one raise
-of NoConvergence, with the report and the best iterate.  An overflow of the
+with the contrast.  The switch carries along a continuation path: a path
+step that ends switched (report.multigrid) starts the next one on the V-cycle.
+The symmetric law keeps the scaled inversion (the comment on MULTIGRID_AFTER
+says why).  A solve stops at max_outer, once its best residual has not
+improved for STALL_STEPS outer steps (the first time, it stops offering the
+candidate instead, since on an energy flat to roundoff every candidate passes
+while the residual wanders), or when the Kacanov step and all its halvings
+raise the energy: each leaves the loop to the one raise of NoConvergence,
+with the report and the best iterate.  An overflow of the
 forcing norm, the law or the eta term raises NonFinite naming it, and so does
 an underflow to 0 of the forcing's sum of squares, or of the residual's short
 of convergence (a residual at roundoff is measured scaled and converges); an
@@ -91,7 +93,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import grid as g
-from . import multigrid
+from . import multigrid as mg
 from .constitutive import ConstitutiveParams
 from .errors import (
     CoefficientBlowup,
@@ -154,7 +156,9 @@ FROZEN_MAX_ITER = 600
 # scaled), so it costs 1.0 + 2 * 1.7 = 4.4 units, and a scaled inner solve of
 # more than 4.4 / 1.4 = 3.1 iterations costs more.  The inner tolerance
 # tightens with the outer residual, so a solve's later inner solves need more
-# iterations than its earlier ones: the switch is sticky.
+# iterations than its earlier ones: the switch is sticky, and it carries
+# along a continuation path, whose next step has a smaller eta and so a larger
+# contrast.
 # The value stays 4: the p < 2 solves of perfbench's estimate-audit and
 # parallel-sweep workloads need at most 4 and never switch, and at 3 the ones
 # that need 4 would pay a set-up on every later outer step.
@@ -254,6 +258,8 @@ class SolveReport:
     backtracks: int = 0
     accelerated: int = 0  # accepted Anderson candidates
     restarts: int = 0  # rejected candidates, each of which drops the history
+    # the solve ended switched to the V-cycle: a next inner solve would run on it
+    multigrid: bool = False
     # a continuation's sums over its path: solves, outer, inner, backtracks,
     # accelerated and restarts
     path_totals: Optional[dict] = None
@@ -631,9 +637,16 @@ def _safeguard(problem: ProblemSpec, eta: float, e_cur: float, trials):
 
 @np.errstate(over="ignore", invalid="ignore")  # each overflow is raised by name
 def solve(
-    problem: ProblemSpec, config: SolveConfig, initial: Optional[np.ndarray] = None
+    problem: ProblemSpec,
+    config: SolveConfig,
+    initial: Optional[np.ndarray] = None,
+    *,
+    multigrid: bool = False,
 ):
     """Kacanov iteration on the frozen-coefficient linearisation.
+
+    multigrid starts a full-law p < 2 solve on the V-cycle (continuation_solve
+    passes the last path step's report.multigrid); any other solve ignores it.
 
     Stops when the relative l2 residual of the discrete strong form drops
     below config.outer_tol.  Returns (field, SolveReport); raises
@@ -675,7 +688,8 @@ def solve(
     b = _free(domain, f)
     pair = _pm_gradients(domain, v)
     e_cur = energy(v, problem, config.eta, pair)
-    use_multigrid = False
+    # the switch to multigrid, kept on the report for the next path step
+    report.multigrid = multigrid and params.p < 2.0 and params.structure == "full"
     best = (np.inf, 0, v)  # relative residual, step and iterate
     anderson, plain_from = ANDERSON_DEPTH > 0, 0  # candidates until plain steps, from plain_from
     # Anderson differences of f and g, their Gram matrix and the last (f, g)
@@ -730,8 +744,8 @@ def solve(
                         f"best {best[0]:.3e} at step {best[1]})")
             break
         inner_rtol = max(min(0.2 * res, 0.1), 0.02 * config.outer_tol)
-        if use_multigrid:
-            precondition = multigrid.VCycle(domain, matrix)
+        if report.multigrid:
+            precondition = mg.VCycle(domain, matrix)
         elif params.p < 2.0:  # the unbounded coefficient the plain Poisson inverse misses
             c = config.eta + 0.5 * (a_plus[domain.interior] + a_minus[domain.interior])
             precondition = _preconditioner(domain, np.tile(c.ravel() ** -0.5, 3))
@@ -743,8 +757,8 @@ def solve(
         except (NonFinite, IllConditioned) as exc:  # the same error, with its attributes
             raise type(exc)(f"{exc} in the inner solve of outer step {it}", **vars(exc)) from exc
         report.inner_iterations += inner_it
-        use_multigrid |= (params.p < 2.0 and params.structure == "full"
-                          and inner_it > MULTIGRID_AFTER)
+        report.multigrid |= (params.p < 2.0 and params.structure == "full"
+                             and inner_it > MULTIGRID_AFTER)
         # Anderson: the candidate g_k - dG gamma, gamma = argmin |f_k - dF gamma|
         # over the last ANDERSON_DEPTH differences of f = g - x and of g, with
         # the Gram matrix dF^T dF grown by one row and column per difference
@@ -831,7 +845,9 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
         params_j = replace(problem.params, mu=mu_j)
         prob_j = ProblemSpec(problem.domain, params_j, f=f)
         cfg_j = replace(config, eta=eta_j, continuation=None)
-        v_new, report = solve(prob_j, cfg_j, initial=_predicted_start(path, j, v, v_prev))
+        # a step starts on the V-cycle where the last one ended on it
+        v_new, report = solve(prob_j, cfg_j, initial=_predicted_start(path, j, v, v_prev),
+                              multigrid=report is not None and report.multigrid)
         totals["solves"] += 1
         for name, count in counts.items():
             totals[name] += getattr(report, count)
