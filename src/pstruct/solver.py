@@ -855,11 +855,12 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
         delta = None  # no step change for the path's first solve
         if v is not None:
             delta = g.norm(problem.domain, v_new - v, q=2.0, sobolev_level=1)
+            grew = prev_delta is not None and delta > prev_delta
             # ignore growth below solver noise so roundoff-scale jitter in a
-            # converged tail cannot trip the stall detector
-            vnorm = g.norm(problem.domain, v_new, q=2.0, sobolev_level=1)
-            significant = delta > 100.0 * config.outer_tol * max(1.0, vnorm)
-            if prev_delta is not None and delta > prev_delta and significant:
+            # converged tail cannot trip the stall detector (v_new's norm is
+            # taken only for a change that grew)
+            if grew and delta > 100.0 * config.outer_tol * max(
+                    1.0, g.norm(problem.domain, v_new, q=2.0, sobolev_level=1)):
                 growth += 1
                 if growth >= 3:
                     raise PathStalled(

@@ -1182,12 +1182,12 @@ def test_frozen_updates_approach_base_as_eps_shrinks():
 # ---------------------------------------------------------------- preconditioner
 
 
-def _short_p14_path(monkeypatch, preconditioner):
+def _short_p14_path(monkeypatch, preconditioner, structure="full"):
     """(problem, eta, v, report) of each step of a short p = 1.4, mu = 0
     continuation on the 8^3 box whose inner solves use the "plain" Poisson
     inverse, the "scaled" one alone, or the solver's own choice ("switch")."""
     dom = grid.build_domain("dirichlet_box", 8)
-    prob = make_problem(dom, 1.4, 0.0)
+    prob = make_problem(dom, 1.4, 0.0, structure=structure)
     path = solver.ContinuationPath.geometric(
         eta0=1e-2, mu0=0.0, ratio=0.5, eta_floor=1e-4, mu_floor=0.0
     )
@@ -1235,6 +1235,49 @@ def test_multigrid_switch_cuts_pcg_iterations_further(monkeypatch):
     than the scaled inverse alone, and every step meets the tolerance."""
     switch = _short_p14_path(monkeypatch, "switch")
     assert _inner_total(switch) < _inner_total(_short_p14_path(monkeypatch, "scaled"))
+
+
+def test_multigrid_switch_carries_along_the_path(monkeypatch):
+    """Once a path step ends switched, every later step builds a V-cycle for
+    its first inner solve, at outer step 0, and for every one after it."""
+    record, built = _recording_pcg(monkeypatch), _counting_vcycles(monkeypatch)
+    steps = _short_p14_path(monkeypatch, "switch")
+    reports = [rep for *_, rep in steps]
+    assert len(record) == sum(rep.iterations for rep in reports)
+    assert sum(k for _, k in record) == _inner_total(steps)
+    assert len(built) == sum(used for used, _ in record)
+    # each step's inner solves, one per outer step short of its last
+    ends = np.cumsum([rep.iterations for rep in reports])
+    per_step = [record[end - rep.iterations:end] for end, rep in zip(ends, reports)]
+    first = next(j for j, rep in enumerate(reports) if rep.multigrid)
+    assert first < len(reports) - 1
+    assert not per_step[0][0][0]  # the path starts on the scaled inverse
+    assert any(per_step[first + 1:])  # a step that converges at outer step 0 runs none
+    for inner, rep in zip(per_step[first + 1:], reports[first + 1:]):
+        assert all(used for used, _ in inner) and rep.multigrid
+
+
+def test_a_symmetric_law_continuation_builds_no_v_cycle(monkeypatch):
+    built = _counting_vcycles(monkeypatch)
+    steps = _short_p14_path(monkeypatch, "switch", structure="symmetric")
+    assert built == []
+    assert not any(rep.multigrid for *_, rep in steps)
+
+
+@pytest.mark.parametrize("p, mu, structure", [(1.4, 0.0, "symmetric"), (3.0, 0.1, "full")])
+def test_the_multigrid_start_is_ignored_off_the_full_law_below_2(monkeypatch, p, mu, structure):
+    """solve(..., multigrid=True) starts on the V-cycle only on the full law
+    with p < 2 (VCycle has no cycle for the symmetric law's pattern): here it
+    gives the same field bytes and counts as multigrid=False."""
+    built = _counting_vcycles(monkeypatch)
+    dom = grid.build_domain("dirichlet_box", 8)
+    prob = make_problem(dom, p, mu, structure=structure)
+    cfg = solver.SolveConfig(eta=1e-3, outer_tol=1e-10, max_outer=300)
+    (v0, rep0), (v1, rep1) = (solver.solve(prob, cfg, multigrid=flag) for flag in (False, True))
+    assert rep0.converged and rep0.inner_iterations > 0
+    assert v1.tobytes() == v0.tobytes()
+    assert rep1 == rep0 and not rep1.multigrid
+    assert built == []
 
 
 # (outer, inner) iterations of criterion 5's p = 3 solve at each eta; plain
