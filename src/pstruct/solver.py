@@ -820,7 +820,8 @@ def _predicted_start(path: ContinuationPath, j: int, v, v_prev):
 def continuation_solve(problem: ProblemSpec, config: SolveConfig):
     """Walk the (eta, mu) path, each step started from the last two
     solutions' secant predictor (_predicted_start); the first step starts
-    from the Poisson solution and the second from the first's solution.
+    from the Poisson solution and the second from the first's solution.  A
+    step after one that ended switched to multigrid starts on the V-cycle.
 
     Records (eta, mu, ||D^2 v||_2, ||v_j - v_{j-1}||_{1,2}) per step and
     raises PathStalled when the step change grows three times in a row.
@@ -845,7 +846,6 @@ def continuation_solve(problem: ProblemSpec, config: SolveConfig):
         params_j = replace(problem.params, mu=mu_j)
         prob_j = ProblemSpec(problem.domain, params_j, f=f)
         cfg_j = replace(config, eta=eta_j, continuation=None)
-        # a step starts on the V-cycle where the last one ended on it
         v_new, report = solve(prob_j, cfg_j, initial=_predicted_start(path, j, v, v_prev),
                               multigrid=report is not None and report.multigrid)
         totals["solves"] += 1
